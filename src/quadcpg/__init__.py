@@ -8,7 +8,7 @@ locomotion MDP over a pluggable dynamics backend.
 from .environment import (ACTION_SIZE, OBSERVATION_SIZE, KinematicBackend,
                           Observation, QuadrupedEnv, RewardTerms,
                           build_observation, compute_reward)
-from .foot_trajectory import FootTarget, PfParams, foot_target, pf_params_from_descriptor
+from .foot_trajectory import FootTarget, PfParams, foot_target, leg_pf_params
 from .kinematics import (LegGeometry, OutOfWorkspaceError, fk_all_feet, fk_leg,
                          ik_3dof, ik_4dof, ik_leg)
 from .oscillator import (TROT_PHASES, CpgCommand, CpgConfig, InvalidCommandError,
@@ -34,8 +34,8 @@ __all__ = [
     "build_observation", "builtin_registry", "clamp_command",
     "closed_form_amplitude", "compute_reward", "evaluate_constant_command",
     "fk_all_feet", "fk_leg", "foot_target", "get_robot", "ik_3dof", "ik_4dof",
-    "ik_leg", "init_cpg", "load_registry", "open_loop_trot",
-    "pf_params_from_descriptor", "read_record_csv", "run_open_loop_trajectory",
+    "ik_leg", "init_cpg", "leg_pf_params", "load_registry", "open_loop_trot",
+    "read_record_csv", "run_open_loop_trajectory",
     "run_rollout", "save_registry", "search_constant_command", "step_oscillator",
     "write_record_csv", "write_record_manifest",
 ]

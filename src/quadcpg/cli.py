@@ -74,12 +74,13 @@ def cmd_rollout(args) -> int:
     robot = _robot(args, registry)
     try:
         policy = controllers.open_loop_trot(args.mu, args.omega)
+        record = rollout.run_rollout(robot, policy, args.duration, seed=args.seed)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_CONFIG) from None
-    record = rollout.run_rollout(robot, policy, args.duration, seed=args.seed)
     _write_record(record, args.out)
     summary = record.manifest()["summary"]
-    terms = _mean_terms(record)
+    terms = [record.column_mean(c) for c in
+             ("reward_forward", "reward_orientation", "reward_power")]
     line = (f"{robot.name}: steps={summary['steps']} "
             f"mean_velocity={summary['mean_velocity']:.3f} m/s "
             f"mean_reward={summary['mean_reward']:.4f} "
@@ -94,10 +95,11 @@ def cmd_rollout(args) -> int:
 def cmd_search(args) -> int:
     registry = _registry(args)
     robot = _robot(args, registry)
-    if args.budget < 1:
-        raise CliError(f"budget must be >= 1, got {args.budget}", EXIT_CONFIG)
-    result = controllers.search_constant_command(
-        robot, args.budget, seed=args.seed, horizon=args.horizon)
+    try:
+        result = controllers.search_constant_command(
+            robot, args.budget, seed=args.seed, horizon=args.horizon)
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_CONFIG) from None
     try:
         result.to_json(args.out)
     except OSError as exc:
@@ -120,14 +122,6 @@ def cmd_plot(args) -> int:
         raise CliError(f"cannot write {args.out!r}: {exc}", EXIT_RUNTIME) from None
     print(f"wrote {args.out}")
     return EXIT_OK
-
-
-def _mean_terms(record):
-    cols = record.columns
-    idx = [cols.index(c) for c in
-           ("reward_forward", "reward_orientation", "reward_power")]
-    n = max(len(record.rows), 1)
-    return [sum(row[i] for row in record.rows) / n for i in idx]
 
 
 def _write_table(columns, rows, path: str) -> None:

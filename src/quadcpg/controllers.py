@@ -113,6 +113,8 @@ def search_constant_command(robot: RobotDescriptor, budget: int, seed: int = 0,
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
     rng = random.Random(seed)
     candidates = [(rng.uniform(MU_MIN, MU_MAX), rng.uniform(OMEGA_MIN_HZ, OMEGA_MAX_HZ))
                   for _ in range(budget)]

@@ -33,7 +33,7 @@ from typing import NamedTuple, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
-from .foot_trajectory import FootTarget, PfParams, foot_target
+from .foot_trajectory import foot_target, leg_pf_params
 from .kinematics import _solve_3dof, _solve_4dof, fk_all_feet
 from .oscillator import (TROT_PHASES, CpgConfig, OscillatorState,
                          clamp_command, init_cpg, step_oscillator)
@@ -47,8 +47,30 @@ W_FORWARD = 8.0
 W_ORIENTATION = -0.25
 W_POWER = -1e-5
 
-#: Velocity cap defining the per-step forward-progress clip d_max.
-DEFAULT_V_CAP = 1.5
+#: Control period (100 Hz actions over the 1 kHz inner loop) and the
+#: velocity cap that sets the per-step forward-progress clip d_max.
+CONTROL_DT = 0.01
+V_CAP = 1.5
+
+#: Termination: |roll| or |pitch| above FALL_ANGLE_LIMIT (rad), or base
+#: height below MIN_HEIGHT_FRAC of the nominal standing height.
+FALL_ANGLE_LIMIT = 1.0
+MIN_HEIGHT_FRAC = 0.3
+
+#: KinematicBackend: joint-lag time-constant ceiling (s), base-height
+#: servo time constant (s), ground-contact tolerance (m).
+LAG_TAU_MAX = 0.005
+HEIGHT_SERVO_TAU = 0.05
+CONTACT_TOL = 1e-9
+
+
+def substeps(config: CpgConfig) -> int:
+    """Oscillator steps per control period; dt_integration must divide it."""
+    n = round(CONTROL_DT / config.dt_integration)
+    if n < 1 or abs(CONTROL_DT / config.dt_integration - n) > 1e-9:
+        raise ValueError(f"control_dt {CONTROL_DT} must be an integer multiple of "
+                         f"dt_integration {config.dt_integration}")
+    return n
 
 
 class RewardTerms(NamedTuple):
@@ -138,7 +160,7 @@ class KinematicBackend:
 
     Joints follow desired positions through a first-order lag whose time
     constant comes from the PD gain ratio kd/kp, clamped to
-    [dt, lag_tau_max] so tracking stays both stable and fast enough for
+    [dt, LAG_TAU_MAX] so tracking stays both stable and fast enough for
     the stance-sweep velocity model to hold.  Torques are reported from
     the PD law tau = kp * (q_des - q) - kd * qdot.  Feet at or below the
     ground plane count as contacts and anchor the base: its planar
@@ -147,13 +169,9 @@ class KinematicBackend:
     orientation remains flat.
     """
 
-    def __init__(self, robot: RobotDescriptor, lag_tau_max: float = 0.005,
-                 height_servo_tau: float = 0.05, contact_tol: float = 1e-9):
+    def __init__(self, robot: RobotDescriptor):
         self.robot = robot
         self._lag_tau = max(robot.kd / robot.kp, 1e-6)
-        self._lag_tau_max = lag_tau_max
-        self._height_tau = height_servo_tau
-        self._contact_tol = contact_tol
         self.reset([[0.0] * robot.leg_dof for _ in range(4)])
 
     def reset(self, q0, seed: int = 0) -> None:
@@ -170,12 +188,12 @@ class KinematicBackend:
 
     def _compute_contacts(self):
         base_z = self.base_pos[2]
-        return tuple(base_z + f[2] <= self._contact_tol for f in self._feet)
+        return tuple(base_z + f[2] <= CONTACT_TOL for f in self._feet)
 
     def advance(self, q_des, dt: float) -> None:
         robot = self.robot
         kp, kd = robot.kp, robot.kd
-        tau_lag = min(max(self._lag_tau, dt), self._lag_tau_max)
+        tau_lag = min(max(self._lag_tau, dt), LAG_TAU_MAX)
         a = dt / max(tau_lag, dt)
 
         q_all = self.joint_positions
@@ -213,13 +231,9 @@ class KinematicBackend:
             vx, vy = self.base_lin_vel[0], self.base_lin_vel[1]
 
         bx, by, bz = self.base_pos
-        dz = (robot.height_nominal - bz) * min(1.0, dt / self._height_tau)
+        dz = (robot.height_nominal - bz) * min(1.0, dt / HEIGHT_SERVO_TAU)
         self.base_pos = (bx + vx * dt, by + vy * dt, bz + dz)
         self.base_lin_vel = (vx, vy, dz / dt)
-
-    @property
-    def feet_body(self):
-        return self._feet
 
 
 def build_observation(robot: RobotDescriptor, backend, cpg_states,
@@ -250,29 +264,15 @@ class QuadrupedEnv:
     """The locomotion environment for one robot over a dynamics backend."""
 
     def __init__(self, robot: RobotDescriptor, cpg_config: Optional[CpgConfig] = None,
-                 backend=None, control_dt: float = 0.01, v_cap: float = DEFAULT_V_CAP,
-                 fall_angle_limit: float = 1.0, min_height_frac: float = 0.3):
+                 backend=None):
         self.robot = robot
         self.cpg_config = cpg_config or CpgConfig()
         self.backend = backend if backend is not None else KinematicBackend(robot)
-        self.control_dt = control_dt
-        self.d_max = v_cap * control_dt
-        self._fall_angle = fall_angle_limit
-        self._min_height = min_height_frac * robot.height_nominal
-
-        n_sub = control_dt / self.cpg_config.dt_integration
-        self.n_substeps = int(round(n_sub))
-        if abs(n_sub - self.n_substeps) > 1e-9 or self.n_substeps < 1:
-            raise ValueError(
-                f"control_dt {control_dt} must be an integer multiple of "
-                f"dt_integration {self.cpg_config.dt_integration}")
-
-        # per-leg PF parameters: same shape, leg-specific signed lateral offset
-        self._pf = tuple(
-            PfParams(h=robot.pf.h, l_step=robot.pf.l_step, l_clrnc=robot.pf.l_clrnc,
-                     l_pntr=robot.pf.l_pntr, x_off=robot.pf.x_off, z_off=robot.pf.z_off,
-                     y_nominal=leg.abd_offset)
-            for leg in robot.legs)
+        self.control_dt = CONTROL_DT
+        self.d_max = V_CAP * CONTROL_DT
+        self._min_height = MIN_HEIGHT_FRAC * robot.height_nominal
+        self.n_substeps = substeps(self.cpg_config)
+        self._pf = leg_pf_params(robot)
         self._solvers = tuple(
             _solve_3dof if leg.dof == 3 else _solve_4dof for leg in robot.legs)
         self._n_joints = robot.dof_total
@@ -287,14 +287,11 @@ class QuadrupedEnv:
         self._cpg = init_cpg(initial_phases, self.cpg_config)
         q0 = []
         for leg, pf, solve in zip(robot.legs, self._pf, self._solvers):
-            target = FootTarget(pf.x_off, leg.abd_offset, pf.z_off - pf.h)
-            q, _ = solve(leg, *target)
+            q, _ = solve(leg, pf.x_off, pf.y_nominal, pf.z_off - pf.h)
             q0.append(list(q))
         self.backend.reset(q0, seed)
         self._prev_action = (0.0,) * ACTION_SIZE
         self._prev_qdot = [0.0] * self._n_joints
-        self._last_targets = [FootTarget(pf.x_off, leg.abd_offset, pf.z_off - pf.h)
-                              for leg, pf in zip(robot.legs, self._pf)]
         self.time = 0.0
         self.done = False
         return build_observation(robot, self.backend, self._cpg, self._prev_action)
@@ -337,11 +334,10 @@ class QuadrupedEnv:
                                self._prev_qdot)
         self._prev_qdot = qdot
         self._prev_action = mu + omega
-        self._last_targets = list(targets)
         self.time += self.control_dt
 
         roll, pitch, _ = backend.base_rpy
-        fell = (abs(roll) > self._fall_angle or abs(pitch) > self._fall_angle
+        fell = (abs(roll) > FALL_ANGLE_LIMIT or abs(pitch) > FALL_ANGLE_LIMIT
                 or backend.base_pos[2] < self._min_height)
         self.done = self.done or fell
 

@@ -17,7 +17,7 @@ is out of scope for this trajectory generator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, TYPE_CHECKING
 
 from .oscillator import OscillatorState
@@ -65,6 +65,6 @@ def foot_target(state: OscillatorState, params: PfParams) -> FootTarget:
     return FootTarget(x, params.y_nominal, z)
 
 
-def pf_params_from_descriptor(robot: "RobotDescriptor") -> PfParams:
-    """Return the robot's fixed pattern-formation parameters."""
-    return robot.pf
+def leg_pf_params(robot: "RobotDescriptor"):
+    """Per-leg PfParams: the robot's shape, each leg's signed lateral offset."""
+    return tuple(replace(robot.pf, y_nominal=leg.abd_offset) for leg in robot.legs)

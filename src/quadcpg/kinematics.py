@@ -221,31 +221,24 @@ def ik_3dof(geom: LegGeometry, target: FootTarget) -> Tuple[float, float, float]
     """Analytical IK for a two-segment leg, branch fixed by knee_config."""
     if geom.dof != 3:
         raise ValueError(f"ik_3dof needs a 2-link geometry, got {geom.dof} DoF")
-    q, clamped = _solve_3dof(geom, target.x, target.y, target.z)
-    if clamped:
-        raise OutOfWorkspaceError(
-            f"target {tuple(target)} outside workspace of 2-link leg "
-            f"(reach {geom.max_reach:.4f} m)", q)
-    return q
+    return ik_leg(geom, target)
 
 
 def ik_4dof(geom: LegGeometry, target: FootTarget) -> Tuple[float, float, float, float]:
     """Analytical IK for a three-segment leg with fixed knee-foot coupling."""
     if geom.dof != 4:
         raise ValueError(f"ik_4dof needs a 3-link geometry, got {geom.dof} DoF")
-    q, clamped = _solve_4dof(geom, target.x, target.y, target.z)
-    if clamped:
-        raise OutOfWorkspaceError(
-            f"target {tuple(target)} outside workspace of 3-link leg "
-            f"(reach {geom.max_reach:.4f} m)", q)
-    return q
+    return ik_leg(geom, target)
 
 
 def ik_leg(geom: LegGeometry, target: FootTarget) -> Tuple[float, ...]:
-    """Dispatch to the morphology-appropriate analytical solver."""
-    if geom.dof == 3:
-        return ik_3dof(geom, target)
-    return ik_4dof(geom, target)
+    """Morphology-appropriate analytical IK; unreachable targets raise."""
+    q, clamped = ik_leg_clamped(geom, target)
+    if clamped:
+        raise OutOfWorkspaceError(
+            f"target {tuple(target)} outside workspace of "
+            f"{len(geom.link_lengths)}-link leg (reach {geom.max_reach:.4f} m)", q)
+    return q
 
 
 def ik_leg_clamped(geom: LegGeometry, target: FootTarget):
@@ -253,10 +246,6 @@ def ik_leg_clamped(geom: LegGeometry, target: FootTarget):
     if geom.dof == 3:
         return _solve_3dof(geom, target.x, target.y, target.z)
     return _solve_4dof(geom, target.x, target.y, target.z)
-
-
-# Foot order used everywhere: front-right, front-left, rear-right, rear-left.
-FOOT_ORDER = ("FR", "FL", "RR", "RL")
 
 
 def fk_all_feet(robot: "RobotDescriptor", q_all: Sequence[Sequence[float]]):

@@ -57,15 +57,12 @@ class CpgConfig:
 
     alpha: float = 50.0          # convergence factor, 1/s
     dt_integration: float = 1e-3  # Euler step, s
-    n_limbs: int = 4
 
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and self.alpha > 0.0):
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         if not (math.isfinite(self.dt_integration) and self.dt_integration > 0.0):
             raise ValueError(f"dt_integration must be positive, got {self.dt_integration}")
-        if self.n_limbs != 4:
-            raise ValueError(f"n_limbs must be 4, got {self.n_limbs}")
 
 
 def step_oscillator(state: OscillatorState, mu: float, omega_hz: float,
@@ -140,8 +137,8 @@ def closed_form_amplitude(mu: float, alpha: float, r0: float, r0_dot: float,
 def init_cpg(initial_phases: Sequence[float], config: CpgConfig):
     """Build one oscillator bank at rest with the given phase offsets."""
     phases = [float(p) for p in initial_phases]
-    if len(phases) != config.n_limbs:
-        raise ValueError(f"expected {config.n_limbs} phases, got {len(phases)}")
+    if len(phases) != 4:
+        raise ValueError(f"expected 4 phases, got {len(phases)}")
     if not all(math.isfinite(p) for p in phases):
         raise InvalidCommandError(f"non-finite initial phases {phases!r}")
     return [OscillatorState(0.0, 0.0, p % TWO_PI, 0.0) for p in phases]

@@ -103,8 +103,3 @@ def render_rollout_svg(columns: Sequence[str], rows) -> str:
             f'<rect width="{_WIDTH}" height="{height}" fill="#ffffff"/>\n'
             f"{body}\n</svg>\n")
 
-
-def write_rollout_svg(columns: Sequence[str], rows, path: str) -> None:
-    svg = render_rollout_svg(columns, rows)
-    with open(path, "w") as fh:
-        fh.write(svg)

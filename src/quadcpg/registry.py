@@ -57,24 +57,6 @@ HIP_X_FACTOR = 0.25
 HIP_Y_FACTOR = 0.08
 ABD_OFFSET_FACTOR = 0.08
 
-#: PPO settings reported with the original training setup.  Documentation
-#: only: nothing in this package consumes them.
-PPO_DEFAULTS = {
-    "batch_size": 98304,
-    "minibatch_size": 24576,
-    "n_epochs": 5,
-    "clip_range": 0.2,
-    "entropy_coefficient": 0.01,
-    "discount_factor": 0.99,
-    "gae_discount_factor": 0.95,
-    "kl_divergence_target": 0.01,
-    "learning_rate": "adaptive",
-    "nn_layers": [512, 256, 128],
-    "activation": "elu",
-    "framework": "torch",
-    "training_samples": 14.0e7,
-}
-
 
 class RegistryError(ValueError):
     """Registry file could not be parsed or a descriptor is invalid."""
@@ -280,8 +262,6 @@ def _entry_from_descriptor(robot: RobotDescriptor) -> Dict:
 
 class Registry:
     """Immutable, name-indexed collection of robot descriptors."""
-
-    ppo_defaults = PPO_DEFAULTS
 
     def __init__(self, robots: Sequence[RobotDescriptor]):
         self._robots: List[RobotDescriptor] = list(robots)

@@ -19,11 +19,13 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from .environment import QuadrupedEnv
-from .oscillator import TROT_PHASES, CpgConfig
+from .environment import CONTROL_DT, QuadrupedEnv, substeps
+from .foot_trajectory import leg_pf_params
+from .oscillator import TROT_PHASES, CpgConfig, init_cpg
 from .registry import RobotDescriptor
 
 SCHEMA_VERSION = 1
@@ -65,9 +67,13 @@ class RolloutRecord:
 
     @property
     def mean_reward(self) -> float:
+        return self.column_mean("reward_total")
+
+    def column_mean(self, name: str) -> float:
+        """Mean of one column over all rows; 0.0 for an empty record."""
         if not self.rows:
             return 0.0
-        ix = self.columns.index("reward_total")
+        ix = self.columns.index(name)
         return sum(row[ix] for row in self.rows) / len(self.rows)
 
     def config_hash(self) -> str:
@@ -94,19 +100,25 @@ class RolloutRecord:
         }
 
 
+def _control_periods(duration: float) -> int:
+    """Number of CONTROL_DT periods in `duration`, which must span one."""
+    if not (math.isfinite(duration) and duration >= CONTROL_DT):
+        raise ValueError(f"duration must be finite and at least one control period "
+                         f"({CONTROL_DT} s), got {duration}")
+    return int(round(duration / CONTROL_DT))
+
+
 def run_rollout(robot: RobotDescriptor, policy, duration: float, seed: int = 0,
                 cpg_config: Optional[CpgConfig] = None, backend=None,
                 initial_phases: Optional[Sequence[float]] = None) -> RolloutRecord:
     """Run one episode of `duration` seconds with the given policy."""
-    if duration <= 0.0:
-        raise ValueError(f"duration must be positive, got {duration}")
+    n_steps = _control_periods(duration)
     env = QuadrupedEnv(robot, cpg_config=cpg_config, backend=backend)
     phases = initial_phases
     if phases is None:
         phases = getattr(policy, "initial_phases", TROT_PHASES)
     obs = env.reset(seed=seed, initial_phases=phases)
 
-    n_steps = int(round(duration / env.control_dt))
     columns = record_columns()
     rows: List[List[float]] = []
     termination_step = None
@@ -164,32 +176,28 @@ def trajectory_columns() -> List[str]:
 
 def run_open_loop_trajectory(robot: RobotDescriptor, mu: float, omega: float,
                              duration: float, cpg_config: Optional[CpgConfig] = None,
-                             initial_phases: Sequence[float] = TROT_PHASES,
-                             sample_dt: float = 0.01):
+                             initial_phases: Sequence[float] = TROT_PHASES):
     """CPG + pattern formation only, no backend: sampled foot targets.
 
     The oscillators are integrated at the configured 1 kHz rate and
-    sampled at 100 Hz.  Returns (columns, rows).
+    sampled once per control period.  Returns (columns, rows).
     """
-    from .foot_trajectory import PfParams, foot_target
-    from .oscillator import init_cpg, step_oscillator
+    # looked up at call time, so replacements patched onto these modules see every call
+    from .foot_trajectory import foot_target
+    from .oscillator import step_oscillator
 
-    if duration <= 0.0:
-        raise ValueError(f"duration must be positive, got {duration}")
+    n_samples = _control_periods(duration)
     config = cpg_config or CpgConfig()
-    n_sub = int(round(sample_dt / config.dt_integration))
+    n_sub = substeps(config)
     cpg = init_cpg(initial_phases, config)
-    pf = [PfParams(h=robot.pf.h, l_step=robot.pf.l_step, l_clrnc=robot.pf.l_clrnc,
-                   l_pntr=robot.pf.l_pntr, x_off=robot.pf.x_off, z_off=robot.pf.z_off,
-                   y_nominal=leg.abd_offset) for leg in robot.legs]
+    pf = leg_pf_params(robot)
 
-    n_samples = int(round(duration / sample_dt))
     rows = []
     for k in range(n_samples):
         for _ in range(n_sub):
             for i in range(4):
                 cpg[i] = step_oscillator(cpg[i], mu, omega, config)
-        row = [(k + 1) * sample_dt]
+        row = [(k + 1) * CONTROL_DT]
         row += [s.r for s in cpg]
         row += [s.theta for s in cpg]
         for i in range(4):
@@ -209,11 +217,7 @@ def write_csv(columns: Sequence[str], rows, path: str) -> None:
 
 
 def write_record_csv(record: RolloutRecord, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(record.columns)
-        for row in record.rows:
-            writer.writerow([repr(v) for v in row])
+    write_csv(record.columns, record.rows, path)
 
 
 def write_record_manifest(record: RolloutRecord, path: str) -> None:

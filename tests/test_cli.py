@@ -76,6 +76,15 @@ class TestTraj:
         assert code == EXIT_CONFIG
         assert "NoSuchBot" in err
 
+    @pytest.mark.parametrize("duration", ["nan", "inf", "0.004"])
+    def test_bad_duration_exit_config(self, capsys, tmp_path, duration):
+        out_path = tmp_path / "x.csv"
+        code, _, err = run(capsys, [
+            "traj", "--robot", "A1", "--duration", duration, "--out", str(out_path)])
+        assert code == EXIT_CONFIG
+        assert "duration" in err
+        assert not out_path.exists()
+
     def test_out_of_limit_command_exit_config(self, capsys, tmp_path):
         code, _, err = run(capsys, [
             "traj", "--robot", "A1", "--mu", "9.0",
@@ -97,6 +106,16 @@ class TestRollout:
         assert doc["robot"] == "A1"
         assert doc["seed"] == 3
         assert doc["summary"]["steps"] == 100
+
+    @pytest.mark.parametrize("duration", ["nan", "inf", "0.004"])
+    def test_bad_duration_exit_config(self, capsys, tmp_path, duration):
+        out_path = tmp_path / "roll.csv"
+        code, _, err = run(capsys, [
+            "rollout", "--robot", "A1", "--duration", duration, "--out", str(out_path)])
+        assert code == EXIT_CONFIG
+        assert "duration" in err
+        assert not out_path.exists()
+        assert not (tmp_path / "roll.json").exists()
 
     def test_deterministic_output_bytes(self, capsys, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
@@ -125,6 +144,16 @@ class TestSearch:
             "--out", str(tmp_path / "s.json")])
         assert code == EXIT_CONFIG
         assert "budget" in err
+
+    @pytest.mark.parametrize("horizon", ["0", "-5"])
+    def test_bad_horizon_exit_config(self, capsys, tmp_path, horizon):
+        out_path = tmp_path / "s.json"
+        code, _, err = run(capsys, [
+            "search", "--robot", "A1", "--budget", "3", "--horizon", horizon,
+            "--out", str(out_path)])
+        assert code == EXIT_CONFIG
+        assert "horizon" in err
+        assert not out_path.exists()
 
 
 class TestPlot:

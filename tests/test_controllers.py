@@ -117,6 +117,11 @@ class TestSearch:
         with pytest.raises(ValueError):
             search_constant_command(A1, budget=0, seed=0, horizon=10)
 
+    @pytest.mark.parametrize("horizon", [0, -5])
+    def test_invalid_horizon(self, horizon):
+        with pytest.raises(ValueError, match="horizon"):
+            search_constant_command(A1, budget=3, seed=0, horizon=horizon)
+
     def test_json_export(self, tmp_path):
         result = search_constant_command(A1, budget=5, seed=1, horizon=10)
         path = tmp_path / "search.json"

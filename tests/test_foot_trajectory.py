@@ -2,8 +2,7 @@ import math
 
 import pytest
 
-from quadcpg.foot_trajectory import FootTarget, PfParams, foot_target, \
-    pf_params_from_descriptor
+from quadcpg.foot_trajectory import FootTarget, PfParams, foot_target, leg_pf_params
 from quadcpg.oscillator import OscillatorState
 from quadcpg.registry import builtin_registry
 
@@ -94,19 +93,30 @@ class TestProperties:
 
 
 class TestParamsFromDescriptor:
+    """leg_pf_params: one shared shape per robot, per-leg lateral offsets."""
+
     def test_solo(self):
-        pf = pf_params_from_descriptor(builtin_registry().get("Solo"))
-        assert (pf.h, pf.l_step, pf.l_clrnc, pf.l_pntr, pf.x_off) == \
-            pytest.approx((0.25, 0.10, 0.05, 0.005, 0.037))
+        for pf in leg_pf_params(builtin_registry().get("Solo")):
+            assert (pf.h, pf.l_step, pf.l_clrnc, pf.l_pntr, pf.x_off) == \
+                pytest.approx((0.25, 0.10, 0.05, 0.005, 0.037))
 
     def test_dog3(self):
-        pf = pf_params_from_descriptor(builtin_registry().get("Dog3"))
-        assert (pf.h, pf.l_step, pf.l_clrnc, pf.l_pntr, pf.x_off) == \
-            pytest.approx((1.00, 0.36, 0.09, 0.02, 0.0))
+        for pf in leg_pf_params(builtin_registry().get("Dog3")):
+            assert (pf.h, pf.l_step, pf.l_clrnc, pf.l_pntr, pf.x_off) == \
+                pytest.approx((1.00, 0.36, 0.09, 0.02, 0.0))
 
     def test_anymal_b_zero_penetration(self):
-        pf = pf_params_from_descriptor(builtin_registry().get("Anymal-B"))
-        assert pf.l_pntr == 0.0
+        for pf in leg_pf_params(builtin_registry().get("Anymal-B")):
+            assert pf.l_pntr == 0.0
+
+    def test_signed_lateral_offsets(self):
+        for robot in builtin_registry():
+            fr, fl, rr, rl = leg_pf_params(robot)
+            assert fr.y_nominal < 0.0 and rr.y_nominal < 0.0
+            assert fl.y_nominal > 0.0 and rl.y_nominal > 0.0
+            for pf, leg in zip((fr, fl, rr, rl), robot.legs):
+                assert pf.y_nominal == leg.abd_offset
+                assert pf.z_off == robot.pf.z_off
 
 
 class TestValidation:

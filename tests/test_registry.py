@@ -1,8 +1,7 @@
 import pytest
 import yaml
 
-from quadcpg.registry import (MORPH_ANIMAL, MORPH_MIXED, PPO_DEFAULTS, Registry,
-                              RegistryError, UnknownRobotError, builtin_registry,
+from quadcpg.registry import (MORPH_ANIMAL, MORPH_MIXED, RegistryError, UnknownRobotError, builtin_registry,
                               get_robot, load_registry, save_registry)
 
 
@@ -125,9 +124,3 @@ class TestRoundTrip:
         for a, b in zip(reg, reloaded):
             assert a == b
 
-
-class TestPpoDefaults:
-    def test_documented_but_inert(self):
-        assert Registry.ppo_defaults is PPO_DEFAULTS
-        assert PPO_DEFAULTS["batch_size"] == 98304
-        assert PPO_DEFAULTS["nn_layers"] == [512, 256, 128]

@@ -4,6 +4,8 @@ import math
 import pytest
 
 from quadcpg.controllers import open_loop_trot
+from quadcpg.environment import QuadrupedEnv
+from quadcpg.oscillator import CpgConfig
 from quadcpg.registry import builtin_registry
 from quadcpg.rollout import (read_record_csv, record_columns,
                              run_open_loop_trajectory, run_rollout,
@@ -41,6 +43,39 @@ class TestOpenLoopTrajectory:
         with pytest.raises(ValueError):
             run_open_loop_trajectory(A1, 1.0, 2.5, 0.0)
 
+    @pytest.mark.parametrize("duration", [math.nan, math.inf, 0.004])
+    def test_duration_boundary(self, duration):
+        with pytest.raises(ValueError, match="duration"):
+            run_open_loop_trajectory(A1, 1.0, 2.5, duration)
+
+
+class TestTrajectoryMatchesRollout:
+    """The open-loop trajectory and the closed-loop rollout share the
+    oscillator, pattern formation and substep count, so their common
+    columns agree exactly."""
+
+    @pytest.mark.parametrize("name", ["A1", "Solo", "Dog3"])
+    def test_common_columns_identical(self, name):
+        robot = REG.get(name)
+        columns, rows = run_open_loop_trajectory(robot, 1.0, 2.5, 3.0)
+        record = run_rollout(robot, open_loop_trot(1.0, 2.5), 3.0, seed=0)
+        assert record.termination_step is None
+        assert len(rows) == len(record.rows) == 300
+        shared = [c for c in columns if c != "t"]
+        it = [columns.index(c) for c in shared]
+        ir = [record.columns.index(c) for c in shared]
+        t_traj, t_roll = columns.index("t"), record.columns.index("t")
+        for row, rec in zip(rows, record.rows):
+            assert [row[i] for i in it] == [rec[i] for i in ir]
+            assert abs(row[t_traj] - rec[t_roll]) <= 1e-9
+
+    def test_non_dividing_integration_step_rejected(self):
+        config = CpgConfig(dt_integration=0.003)
+        with pytest.raises(ValueError, match="dt_integration"):
+            QuadrupedEnv(A1, cpg_config=config)
+        with pytest.raises(ValueError, match="dt_integration"):
+            run_open_loop_trajectory(A1, 1.0, 2.5, 1.0, cpg_config=config)
+
 
 class TestRunRollout:
     def test_summary_speed(self):
@@ -50,6 +85,11 @@ class TestRunRollout:
         # full-run mean includes the amplitude ramp transient
         assert record.mean_velocity == pytest.approx(1.30, rel=0.05)
         assert record.workspace_violations == 0
+
+    @pytest.mark.parametrize("duration", [math.nan, math.inf, 0.004])
+    def test_duration_boundary(self, duration):
+        with pytest.raises(ValueError, match="duration"):
+            run_rollout(A1, open_loop_trot(1.0, 2.5), duration, seed=0)
 
     def test_time_column(self):
         record = run_rollout(A1, open_loop_trot(1.0, 2.0), duration=0.5, seed=0)
