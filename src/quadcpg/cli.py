@@ -8,7 +8,6 @@ default registry file can also be set through QUADCPG_REGISTRY.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Optional

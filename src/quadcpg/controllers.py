@@ -12,11 +12,10 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Protocol, Sequence, Tuple
+from typing import List, Protocol, Sequence, Tuple
 
 from .environment import QuadrupedEnv
-from .oscillator import (MU_MAX, MU_MIN, OMEGA_MAX_HZ, OMEGA_MIN_HZ,
-                         TROT_PHASES, CpgConfig)
+from .oscillator import MU_MAX, MU_MIN, OMEGA_MAX_HZ, OMEGA_MIN_HZ, TROT_PHASES
 from .registry import RobotDescriptor
 
 
@@ -57,10 +56,9 @@ def open_loop_trot(mu: float, omega: float) -> ConstantCommandPolicy:
 
 
 def evaluate_constant_command(robot: RobotDescriptor, mu: float, omega: float,
-                              horizon: int, seed: int = 0,
-                              cpg_config: Optional[CpgConfig] = None) -> float:
+                              horizon: int, seed: int = 0) -> float:
     """Episodic return of a constant command over `horizon` control steps."""
-    env = QuadrupedEnv(robot, cpg_config=cpg_config)
+    env = QuadrupedEnv(robot)
     obs = env.reset(seed=seed, initial_phases=TROT_PHASES)
     action = (mu,) * 4 + (omega,) * 4
     total = 0.0
@@ -103,8 +101,7 @@ class SearchResult:
 
 
 def search_constant_command(robot: RobotDescriptor, budget: int, seed: int = 0,
-                            horizon: int = 100,
-                            cpg_config: Optional[CpgConfig] = None) -> SearchResult:
+                            horizon: int = 100) -> SearchResult:
     """Uniform random search over the (mu, omega) command box.
 
     Commands are shared across limbs, phases fixed to a trot.  The
@@ -122,8 +119,7 @@ def search_constant_command(robot: RobotDescriptor, budget: int, seed: int = 0,
     samples: List[Tuple[float, float, float]] = []
     best_idx, best_return = 0, float("-inf")
     for idx, (mu, omega) in enumerate(candidates):
-        ret = evaluate_constant_command(robot, mu, omega, horizon, seed=seed,
-                                        cpg_config=cpg_config)
+        ret = evaluate_constant_command(robot, mu, omega, horizon, seed=seed)
         samples.append((mu, omega, ret))
         if ret > best_return:
             best_idx, best_return = idx, ret

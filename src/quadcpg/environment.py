@@ -29,14 +29,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Protocol, Sequence, Tuple
+from typing import NamedTuple, Protocol, Sequence, Tuple
 
 import numpy as np
 
 from .foot_trajectory import foot_target, leg_pf_params
 from .kinematics import _solve_3dof, _solve_4dof, fk_all_feet
-from .oscillator import (TROT_PHASES, CpgConfig, OscillatorState,
-                         clamp_command, init_cpg, step_oscillator)
+from .oscillator import (DT_INTEGRATION, TROT_PHASES, clamp_command, init_cpg,
+                         step_oscillator)
 from .registry import RobotDescriptor
 
 OBSERVATION_SIZE = 49
@@ -47,9 +47,11 @@ W_FORWARD = 8.0
 W_ORIENTATION = -0.25
 W_POWER = -1e-5
 
-#: Control period (100 Hz actions over the 1 kHz inner loop) and the
-#: velocity cap that sets the per-step forward-progress clip d_max.
+#: Control period (100 Hz actions over the 1 kHz inner loop), the
+#: oscillator steps per period (N_SUBSTEPS * DT_INTEGRATION == CONTROL_DT)
+#: and the velocity cap that sets the per-step forward-progress clip d_max.
 CONTROL_DT = 0.01
+N_SUBSTEPS = 10
 V_CAP = 1.5
 
 #: Termination: |roll| or |pitch| above FALL_ANGLE_LIMIT (rad), or base
@@ -62,15 +64,6 @@ MIN_HEIGHT_FRAC = 0.3
 LAG_TAU_MAX = 0.005
 HEIGHT_SERVO_TAU = 0.05
 CONTACT_TOL = 1e-9
-
-
-def substeps(config: CpgConfig) -> int:
-    """Oscillator steps per control period; dt_integration must divide it."""
-    n = round(CONTROL_DT / config.dt_integration)
-    if n < 1 or abs(CONTROL_DT / config.dt_integration - n) > 1e-9:
-        raise ValueError(f"control_dt {CONTROL_DT} must be an integer multiple of "
-                         f"dt_integration {config.dt_integration}")
-    return n
 
 
 class RewardTerms(NamedTuple):
@@ -263,15 +256,13 @@ def build_observation(robot: RobotDescriptor, backend, cpg_states,
 class QuadrupedEnv:
     """The locomotion environment for one robot over a dynamics backend."""
 
-    def __init__(self, robot: RobotDescriptor, cpg_config: Optional[CpgConfig] = None,
-                 backend=None):
+    def __init__(self, robot: RobotDescriptor, backend=None):
         self.robot = robot
-        self.cpg_config = cpg_config or CpgConfig()
         self.backend = backend if backend is not None else KinematicBackend(robot)
         self.control_dt = CONTROL_DT
         self.d_max = V_CAP * CONTROL_DT
         self._min_height = MIN_HEIGHT_FRAC * robot.height_nominal
-        self.n_substeps = substeps(self.cpg_config)
+        self.n_substeps = N_SUBSTEPS
         self._pf = leg_pf_params(robot)
         self._solvers = tuple(
             _solve_3dof if leg.dof == 3 else _solve_4dof for leg in robot.legs)
@@ -284,7 +275,7 @@ class QuadrupedEnv:
               ) -> Observation:
         """Standing start at nominal height with the given phase offsets."""
         robot = self.robot
-        self._cpg = init_cpg(initial_phases, self.cpg_config)
+        self._cpg = init_cpg(initial_phases)
         q0 = []
         for leg, pf, solve in zip(robot.legs, self._pf, self._solvers):
             q, _ = solve(leg, pf.x_off, pf.y_nominal, pf.z_off - pf.h)
@@ -304,8 +295,7 @@ class QuadrupedEnv:
         mu, omega = cmd.mu, cmd.omega
 
         backend = self.backend
-        config = self.cpg_config
-        dt = config.dt_integration
+        dt = DT_INTEGRATION
         legs = self.robot.legs
         pf = self._pf
         solvers = self._solvers
@@ -317,7 +307,7 @@ class QuadrupedEnv:
         targets = [None] * 4
         for _ in range(self.n_substeps):
             for i in range(4):
-                state = step_oscillator(cpg[i], mu[i], omega[i], config)
+                state = step_oscillator(cpg[i], mu[i], omega[i])
                 cpg[i] = state
                 tgt = foot_target(state, pf[i])
                 targets[i] = tgt

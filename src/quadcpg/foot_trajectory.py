@@ -47,6 +47,9 @@ class PfParams:
     y_nominal: float = 0.0  # lateral foot offset in the hip frame (signed)
 
     def __post_init__(self):
+        for name in ("h", "l_step", "l_clrnc", "l_pntr", "x_off", "z_off", "y_nominal"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.h > 0.0:
             raise ValueError(f"h must be positive, got {self.h}")
         for name in ("l_step", "l_clrnc", "l_pntr"):

@@ -25,7 +25,7 @@ psi = q_knee / 2 the squared reach becomes a quadratic in cos(psi),
               + 2 l1 l2 (2 cos(psi)^2 - 1),
 
 which keeps the solution closed form.  Only the -0.5 coupling ratio
-admits this reduction; other ratios are rejected at validation time.
+admits this reduction, so it is a constant, not a per-leg parameter.
 
 Unreachable targets raise OutOfWorkspaceError carrying the clamped-reach
 fallback joint vector so a running rollout can keep going.
@@ -69,19 +69,20 @@ class LegGeometry:
     abd_offset: float                       # signed lateral hip->leg-plane, m
     link_lengths: Tuple[float, ...]         # 2 (3-DoF) or 3 (4-DoF) segments
     knee_config: str = ELBOW_UP
-    foot_coupling: float = FOOT_COUPLING_RATIO  # 4-DoF only
 
     def __post_init__(self):
         if len(self.link_lengths) not in (2, 3):
             raise ValueError(f"expected 2 or 3 link lengths, got {self.link_lengths}")
-        if any(l <= 0.0 for l in self.link_lengths):
-            raise ValueError(f"link lengths must be positive, got {self.link_lengths}")
+        if not all(0.0 < l < math.inf for l in self.link_lengths):
+            raise ValueError(
+                f"link_lengths must be finite and positive, got {self.link_lengths}")
+        if len(self.hip_offset) != 3 or not all(map(math.isfinite, self.hip_offset)):
+            raise ValueError(
+                f"hip_offset must be 3 finite coordinates, got {self.hip_offset}")
+        if not math.isfinite(self.abd_offset):
+            raise ValueError(f"abd_offset must be finite, got {self.abd_offset}")
         if self.knee_config not in (ELBOW_UP, ELBOW_DOWN):
             raise ValueError(f"unknown knee_config {self.knee_config!r}")
-        if len(self.link_lengths) == 3 and self.foot_coupling != FOOT_COUPLING_RATIO:
-            raise ValueError(
-                f"only foot_coupling={FOOT_COUPLING_RATIO} has a closed-form "
-                f"solution, got {self.foot_coupling}")
 
     @property
     def dof(self) -> int:
@@ -198,7 +199,7 @@ def _solve_4dof(geom: LegGeometry, x: float, y: float, z: float):
     if geom.knee_config == ELBOW_DOWN:
         psi = -psi
     knee = 2.0 * psi
-    foot = geom.foot_coupling * knee
+    foot = FOOT_COUPLING_RATIO * knee
 
     # planar position is (A sin, B cos)-linear in the hip angle
     a = l1 + l3 * math.cos(psi) + l2 * math.cos(2.0 * psi)
@@ -215,20 +216,6 @@ def _solve_4dof(geom: LegGeometry, x: float, y: float, z: float):
     hip = math.atan2(u, v) - math.atan2(b, a)
     hip = math.atan2(math.sin(hip), math.cos(hip))
     return (q_abd, hip, knee, foot), clamped
-
-
-def ik_3dof(geom: LegGeometry, target: FootTarget) -> Tuple[float, float, float]:
-    """Analytical IK for a two-segment leg, branch fixed by knee_config."""
-    if geom.dof != 3:
-        raise ValueError(f"ik_3dof needs a 2-link geometry, got {geom.dof} DoF")
-    return ik_leg(geom, target)
-
-
-def ik_4dof(geom: LegGeometry, target: FootTarget) -> Tuple[float, float, float, float]:
-    """Analytical IK for a three-segment leg with fixed knee-foot coupling."""
-    if geom.dof != 4:
-        raise ValueError(f"ik_4dof needs a 3-link geometry, got {geom.dof} DoF")
-    return ik_leg(geom, target)
 
 
 def ik_leg(geom: LegGeometry, target: FootTarget) -> Tuple[float, ...]:

@@ -18,7 +18,7 @@ phase rate is 2*pi*omega rad/s, so one full swing/stance cycle takes
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 TWO_PI = 2.0 * math.pi
@@ -51,23 +51,23 @@ class CpgCommand(NamedTuple):
     omega: tuple   # 4 frequencies in Hz, in [OMEGA_MIN_HZ, OMEGA_MAX_HZ]
 
 
+#: Rhythm-generator constants, fixed by the method for every robot:
+#: amplitude convergence factor (1/s) and the Heun integration step (s).
+ALPHA = 50.0
+DT_INTEGRATION = 1e-3
+
+
 @dataclass(frozen=True)
 class CpgConfig:
-    """Integration settings shared by all limbs."""
+    """Read-only record of ALPHA and DT_INTEGRATION; takes no arguments."""
 
-    alpha: float = 50.0          # convergence factor, 1/s
-    dt_integration: float = 1e-3  # Euler step, s
-
-    def __post_init__(self):
-        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if not (math.isfinite(self.dt_integration) and self.dt_integration > 0.0):
-            raise ValueError(f"dt_integration must be positive, got {self.dt_integration}")
+    alpha: float = field(default=ALPHA, init=False)
+    dt_integration: float = field(default=DT_INTEGRATION, init=False)
 
 
-def step_oscillator(state: OscillatorState, mu: float, omega_hz: float,
-                    config: CpgConfig) -> OscillatorState:
-    """Advance one oscillator by one step of dt_integration.
+def step_oscillator(state: OscillatorState, mu: float,
+                    omega_hz: float) -> OscillatorState:
+    """Advance one oscillator by one step of DT_INTEGRATION.
 
     The amplitude equation uses one explicit Heun (trapezoidal) step:
     plain first-order Euler at the 1 kHz rate misses the closed-form
@@ -85,9 +85,9 @@ def step_oscillator(state: OscillatorState, mu: float, omega_hz: float,
     if not (math.isfinite(mu) and math.isfinite(omega_hz)):
         raise InvalidCommandError(f"non-finite command mu={mu!r} omega={omega_hz!r}")
 
-    alpha = config.alpha
+    alpha = ALPHA
     gain = alpha * alpha / 4.0
-    dt = config.dt_integration
+    dt = DT_INTEGRATION
     theta_dot = TWO_PI * omega_hz
 
     k1_r = r_dot
@@ -125,7 +125,7 @@ def closed_form_amplitude(mu: float, alpha: float, r0: float, r0_dot: float,
 
     r(t) = mu + (A + B*t) * exp(-(alpha/2) * t) with A = r0 - mu and
     B = r0_dot + (alpha/2) * (r0 - mu).  Serves as the independent oracle
-    for the Euler integration in step_oscillator.
+    for the Heun integration in step_oscillator.
     """
     if alpha <= 0.0 or not math.isfinite(alpha):
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -134,7 +134,7 @@ def closed_form_amplitude(mu: float, alpha: float, r0: float, r0_dot: float,
     return mu + (a + b * t) * math.exp(-(alpha / 2.0) * t)
 
 
-def init_cpg(initial_phases: Sequence[float], config: CpgConfig):
+def init_cpg(initial_phases: Sequence[float]):
     """Build one oscillator bank at rest with the given phase offsets."""
     phases = [float(p) for p in initial_phases]
     if len(phases) != 4:

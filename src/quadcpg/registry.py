@@ -93,7 +93,6 @@ class RobotDescriptor:
     """One robot: gait parameters, morphology, geometry and PD gains."""
 
     name: str
-    height_nominal: float  # m
     mass: float            # kg
     dof_total: int         # 12 or 16
     morphology: str
@@ -106,12 +105,12 @@ class RobotDescriptor:
         name = self.name
         if not name:
             raise RegistryError("robot name must be non-empty")
-        if not self.mass > 0.0:
-            raise RegistryError(f"{name}: mass must be positive, got {self.mass}")
-        if not self.kp > 0.0:
-            raise RegistryError(f"{name}: kp must be positive, got {self.kp}")
-        if self.kd < 0.0:
-            raise RegistryError(f"{name}: kd must be >= 0, got {self.kd}")
+        if not 0.0 < self.mass < math.inf:
+            raise RegistryError(f"{name}: mass must be finite and positive, got {self.mass}")
+        if not 0.0 < self.kp < math.inf:
+            raise RegistryError(f"{name}: kp must be finite and positive, got {self.kp}")
+        if not 0.0 <= self.kd < math.inf:
+            raise RegistryError(f"{name}: kd must be finite and >= 0, got {self.kd}")
         if self.morphology not in _CODE_BY_MORPH:
             raise RegistryError(f"{name}: unknown morphology {self.morphology!r}")
         if self.dof_total not in (12, 16):
@@ -127,6 +126,11 @@ class RobotDescriptor:
                 raise RegistryError(
                     f"{name}: leg dof {leg.dof} inconsistent with dof_total "
                     f"{self.dof_total}")
+
+    @property
+    def height_nominal(self) -> float:
+        """Nominal standing height, m: the pattern-formation layer's h."""
+        return self.pf.h
 
     @property
     def leg_dof(self) -> int:
@@ -157,6 +161,9 @@ def default_legs(height_m: float, dof_total: int, morphology: str,
     if y_nominal is None:
         y_nominal = ABD_OFFSET_FACTOR * height_m
     y_nominal = float(y_nominal)
+    if not 0.0 <= y_nominal < math.inf:
+        # the sign comes from the side; a negative offset would cross the legs
+        raise ValueError(f"y_nominal must be finite and >= 0, got {y_nominal}")
 
     legs = []
     for i, hip in enumerate(hip_offsets):
@@ -222,7 +229,6 @@ def _descriptor_from_entry(entry: Dict) -> RobotDescriptor:
         )
         return RobotDescriptor(
             name=name,
-            height_nominal=height_m,
             mass=field("mass_kg"),
             dof_total=dof,
             morphology=morphology,
@@ -272,10 +278,6 @@ class Registry:
 
     def __iter__(self):
         return iter(self._robots)
-
-    @property
-    def robots(self) -> List[RobotDescriptor]:
-        return list(self._robots)
 
     def names(self) -> List[str]:
         return [r.name for r in self._robots]

@@ -23,9 +23,9 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from .environment import CONTROL_DT, QuadrupedEnv, substeps
+from .environment import CONTROL_DT, N_SUBSTEPS, QuadrupedEnv
 from .foot_trajectory import leg_pf_params
-from .oscillator import TROT_PHASES, CpgConfig, init_cpg
+from .oscillator import ALPHA, DT_INTEGRATION, TROT_PHASES, init_cpg
 from .registry import RobotDescriptor
 
 SCHEMA_VERSION = 1
@@ -109,14 +109,15 @@ def _control_periods(duration: float) -> int:
 
 
 def run_rollout(robot: RobotDescriptor, policy, duration: float, seed: int = 0,
-                cpg_config: Optional[CpgConfig] = None, backend=None,
-                initial_phases: Optional[Sequence[float]] = None) -> RolloutRecord:
-    """Run one episode of `duration` seconds with the given policy."""
+                backend=None) -> RolloutRecord:
+    """Run one episode of `duration` seconds with the given policy.
+
+    The oscillators start from the policy's `initial_phases`, or from a
+    trot if it has none.
+    """
     n_steps = _control_periods(duration)
-    env = QuadrupedEnv(robot, cpg_config=cpg_config, backend=backend)
-    phases = initial_phases
-    if phases is None:
-        phases = getattr(policy, "initial_phases", TROT_PHASES)
+    env = QuadrupedEnv(robot, backend=backend)
+    phases = getattr(policy, "initial_phases", TROT_PHASES)
     obs = env.reset(seed=seed, initial_phases=phases)
 
     columns = record_columns()
@@ -154,8 +155,8 @@ def run_rollout(robot: RobotDescriptor, policy, duration: float, seed: int = 0,
         "seed": seed,
         "duration": duration,
         "control_dt": env.control_dt,
-        "alpha": env.cpg_config.alpha,
-        "dt_integration": env.cpg_config.dt_integration,
+        "alpha": ALPHA,
+        "dt_integration": DT_INTEGRATION,
         "initial_phases": list(phases),
     }
     return RolloutRecord(
@@ -175,28 +176,25 @@ def trajectory_columns() -> List[str]:
 
 
 def run_open_loop_trajectory(robot: RobotDescriptor, mu: float, omega: float,
-                             duration: float, cpg_config: Optional[CpgConfig] = None,
-                             initial_phases: Sequence[float] = TROT_PHASES):
+                             duration: float):
     """CPG + pattern formation only, no backend: sampled foot targets.
 
-    The oscillators are integrated at the configured 1 kHz rate and
-    sampled once per control period.  Returns (columns, rows).
+    The oscillators start from a trot, are integrated at the 1 kHz rate
+    and are sampled once per control period.  Returns (columns, rows).
     """
     # looked up at call time, so replacements patched onto these modules see every call
     from .foot_trajectory import foot_target
     from .oscillator import step_oscillator
 
     n_samples = _control_periods(duration)
-    config = cpg_config or CpgConfig()
-    n_sub = substeps(config)
-    cpg = init_cpg(initial_phases, config)
+    cpg = init_cpg(TROT_PHASES)
     pf = leg_pf_params(robot)
 
     rows = []
     for k in range(n_samples):
-        for _ in range(n_sub):
+        for _ in range(N_SUBSTEPS):
             for i in range(4):
-                cpg[i] = step_oscillator(cpg[i], mu, omega, config)
+                cpg[i] = step_oscillator(cpg[i], mu, omega)
         row = [(k + 1) * CONTROL_DT]
         row += [s.r for s in cpg]
         row += [s.theta for s in cpg]

@@ -16,8 +16,8 @@ from quadcpg.controllers import (evaluate_constant_command, open_loop_trot,
 from quadcpg.environment import (ACTION_SIZE, OBSERVATION_SIZE, QuadrupedEnv,
                                  compute_reward)
 from quadcpg.foot_trajectory import foot_target
-from quadcpg.kinematics import fk_leg, ik_leg
-from quadcpg.oscillator import (CpgConfig, OscillatorState,
+from quadcpg.kinematics import FOOT_COUPLING_RATIO, fk_leg, ik_leg
+from quadcpg.oscillator import (ALPHA, DT_INTEGRATION, OscillatorState,
                                 closed_form_amplitude, step_oscillator)
 from quadcpg.registry import builtin_registry
 from quadcpg.rollout import run_rollout, write_record_csv
@@ -48,14 +48,13 @@ class TestAcceptance:
 
     def test_01_oscillator_matches_closed_form(self):
         t0 = time.perf_counter()
-        config = CpgConfig()
-        dt = config.dt_integration
+        dt = DT_INTEGRATION
         worst = 0.0
         for mu in (0.5, 1.0, 4.0):
             state = OscillatorState(r=0.0, r_dot=0.0, theta=0.0, theta_dot=0.0)
             for k in range(2000):
-                state = step_oscillator(state, mu, 0.0, config)
-                exact = closed_form_amplitude(mu, config.alpha, 0.0, 0.0,
+                state = step_oscillator(state, mu, 0.0)
+                exact = closed_form_amplitude(mu, ALPHA, 0.0, 0.0,
                                               (k + 1) * dt)
                 worst = max(worst, abs(state.r - exact))
         elapsed = time.perf_counter() - t0
@@ -107,7 +106,7 @@ class TestAcceptance:
                     q_star = (q_abd, hip, knee)
                 else:
                     knee = rng.uniform(0.1, 2.4)
-                    q_star = (q_abd, hip, knee, geom.foot_coupling * knee)
+                    q_star = (q_abd, hip, knee, FOOT_COUPLING_RATIO * knee)
                 l1 = geom.link_lengths[0]
                 rest = sum(geom.link_lengths[1:])
                 target = fk_leg(geom, q_star)

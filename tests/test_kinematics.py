@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from quadcpg.foot_trajectory import FootTarget
-from quadcpg.kinematics import (ELBOW_DOWN, ELBOW_UP, LegGeometry,
-                                OutOfWorkspaceError, fk_all_feet, fk_leg,
-                                ik_3dof, ik_4dof, ik_leg)
+from quadcpg.kinematics import (ELBOW_DOWN, ELBOW_UP, FOOT_COUPLING_RATIO,
+                                LegGeometry, OutOfWorkspaceError, fk_all_feet,
+                                fk_leg, ik_leg)
 from quadcpg.registry import builtin_registry
 
 GEOM3_UP = LegGeometry(hip_offset=(0.0, 0.0, 0.0), abd_offset=0.05,
@@ -49,7 +49,7 @@ def sample_q(rng, geom):
     psi = rng.uniform(0.05, 1.2)
     if geom.knee_config == ELBOW_DOWN:
         psi = -psi
-    return (q_abd, hip, 2.0 * psi, geom.foot_coupling * 2.0 * psi)
+    return (q_abd, hip, 2.0 * psi, FOOT_COUPLING_RATIO * 2.0 * psi)
 
 
 class TestForwardKinematics:
@@ -83,7 +83,7 @@ class TestForwardKinematics:
 
 class TestIk3Dof:
     def test_full_extension_boundary(self):
-        q = ik_3dof(GEOM3_UP, FootTarget(0.0, 0.05, -0.4))
+        q = ik_leg(GEOM3_UP, FootTarget(0.0, 0.05, -0.4))
         assert q == pytest.approx((0.0, 0.0, 0.0), abs=1e-9)
 
     def test_fk_ik_roundtrip_recovers_joints(self):
@@ -100,13 +100,13 @@ class TestIk3Dof:
                 if z_planar >= -1e-6:
                     continue  # stay on the foot-below-hip solution branch
                 foot = fk_leg(geom, q_star)
-                q = ik_3dof(geom, foot)
+                q = ik_leg(geom, foot)
                 assert q == pytest.approx(q_star, abs=1e-9)
 
     def test_both_branches_same_position_opposite_knee(self):
         target = FootTarget(0.05, 0.05, -0.3)
-        q_up = ik_3dof(GEOM3_UP, target)
-        q_down = ik_3dof(GEOM3_DOWN, target)
+        q_up = ik_leg(GEOM3_UP, target)
+        q_down = ik_leg(GEOM3_DOWN, target)
         assert q_up[2] == pytest.approx(-q_down[2])
         assert q_up[2] > 0.0 > q_down[2]
         assert fk_leg(GEOM3_UP, q_up) == pytest.approx(tuple(target), abs=1e-12)
@@ -115,7 +115,7 @@ class TestIk3Dof:
     def test_out_of_workspace_carries_fallback(self):
         target = FootTarget(0.0, 0.05, -1.0)
         with pytest.raises(OutOfWorkspaceError) as exc:
-            ik_3dof(GEOM3_UP, target)
+            ik_leg(GEOM3_UP, target)
         fallback = exc.value.fallback
         foot = fk_leg(GEOM3_UP, fallback)
         # fallback sits on the workspace boundary in the commanded direction
@@ -123,15 +123,11 @@ class TestIk3Dof:
                                              - GEOM3_UP.abd_offset ** 2))
         assert reach == pytest.approx(0.4, abs=1e-9)
 
-    def test_wrong_dof_rejected(self):
-        with pytest.raises(ValueError):
-            ik_3dof(GEOM4, FootTarget(0.0, 0.05, -0.3))
-
 
 class TestIk4Dof:
     def test_full_extension_all_pitch_zero(self):
         reach = GEOM4.max_reach
-        q = ik_4dof(GEOM4, FootTarget(0.0, 0.05, -reach))
+        q = ik_leg(GEOM4, FootTarget(0.0, 0.05, -reach))
         assert q == pytest.approx((0.0, 0.0, 0.0, 0.0), abs=1e-9)
 
     def test_fk_ik_position_roundtrip(self):
@@ -141,17 +137,17 @@ class TestIk4Dof:
             foot = fk_leg(GEOM4, q_star)
             if foot.z >= 0.0:
                 continue
-            q = ik_4dof(GEOM4, foot)
+            q = ik_leg(GEOM4, foot)
             recovered = fk_leg(GEOM4, q)
             assert recovered == pytest.approx(tuple(foot), abs=1e-9)
 
     def test_coupling_ratio_applied(self):
-        q = ik_4dof(GEOM4, FootTarget(0.02, 0.05, -0.3))
+        q = ik_leg(GEOM4, FootTarget(0.02, 0.05, -0.3))
         assert q[3] == pytest.approx(-0.5 * q[2])
 
     def test_mirrored_targets_same_knee_and_foot(self):
-        a = ik_4dof(GEOM4, FootTarget(0.06, 0.05, -0.3))
-        b = ik_4dof(GEOM4, FootTarget(-0.06, 0.05, -0.3))
+        a = ik_leg(GEOM4, FootTarget(0.06, 0.05, -0.3))
+        b = ik_leg(GEOM4, FootTarget(-0.06, 0.05, -0.3))
         assert a[2] == pytest.approx(b[2], abs=1e-12)
         assert a[3] == pytest.approx(b[3], abs=1e-12)
         fa = fk_leg(GEOM4, a)
@@ -161,12 +157,7 @@ class TestIk4Dof:
 
     def test_out_of_workspace(self):
         with pytest.raises(OutOfWorkspaceError):
-            ik_4dof(GEOM4, FootTarget(0.0, 0.05, -2.0))
-
-    def test_unsupported_coupling_rejected(self):
-        with pytest.raises(ValueError):
-            LegGeometry(hip_offset=(0, 0, 0), abd_offset=0.05,
-                        link_lengths=(0.2, 0.15, 0.1), foot_coupling=-0.3)
+            ik_leg(GEOM4, FootTarget(0.0, 0.05, -2.0))
 
 
 class TestWorkspaceProperties:
@@ -194,8 +185,8 @@ class TestWorkspaceProperties:
 
     def test_abduction_decoupled_from_x(self):
         for x in (-0.1, 0.0, 0.08, 0.15):
-            q = ik_3dof(GEOM3_UP, FootTarget(x, 0.09, -0.3))
-            q_ref = ik_3dof(GEOM3_UP, FootTarget(0.0, 0.09, -0.3))
+            q = ik_leg(GEOM3_UP, FootTarget(x, 0.09, -0.3))
+            q_ref = ik_leg(GEOM3_UP, FootTarget(0.0, 0.09, -0.3))
             assert q[0] == pytest.approx(q_ref[0], abs=1e-12)
 
     def test_knee_sign_fixed_per_branch(self):
@@ -205,8 +196,8 @@ class TestWorkspaceProperties:
             z = rng.uniform(-0.38, -0.15)
             y = rng.uniform(0.0, 0.12)
             try:
-                q_up = ik_3dof(GEOM3_UP, FootTarget(x, y, z))
-                q_down = ik_3dof(GEOM3_DOWN, FootTarget(x, y, z))
+                q_up = ik_leg(GEOM3_UP, FootTarget(x, y, z))
+                q_down = ik_leg(GEOM3_DOWN, FootTarget(x, y, z))
             except OutOfWorkspaceError:
                 continue
             assert q_up[2] >= 0.0

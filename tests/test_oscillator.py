@@ -3,25 +3,24 @@ import random
 
 import pytest
 
-from quadcpg.oscillator import (MU_MAX, MU_MIN, TWO_PI, CpgConfig,
-                                InvalidCommandError, OscillatorState,
+from quadcpg.environment import CONTROL_DT, N_SUBSTEPS
+from quadcpg.oscillator import (ALPHA, DT_INTEGRATION, MU_MAX, MU_MIN, TWO_PI,
+                                CpgConfig, InvalidCommandError, OscillatorState,
                                 clamp_command, closed_form_amplitude, init_cpg,
                                 step_oscillator)
 
-CFG = CpgConfig()
 
-
-def integrate(state, mu, omega, t, config=CFG):
-    n = int(round(t / config.dt_integration))
+def integrate(state, mu, omega, t):
+    n = int(round(t / DT_INTEGRATION))
     for _ in range(n):
-        state = step_oscillator(state, mu, omega, config)
+        state = step_oscillator(state, mu, omega)
     return state
 
 
 class TestStepOscillator:
     def test_equilibrium_is_fixed_point(self):
         state = OscillatorState(1.0, 0.0, 0.0, 0.0)
-        new = step_oscillator(state, 1.0, 0.0, CFG)
+        new = step_oscillator(state, 1.0, 0.0)
         assert new.r == pytest.approx(1.0, abs=1e-15)
         assert new.r_dot == pytest.approx(0.0, abs=1e-15)
         assert new.theta == 0.0
@@ -40,9 +39,9 @@ class TestStepOscillator:
 
     def test_non_finite_state_rejected(self):
         with pytest.raises(InvalidCommandError):
-            step_oscillator(OscillatorState(math.nan, 0.0, 0.0, 0.0), 1.0, 1.0, CFG)
+            step_oscillator(OscillatorState(math.nan, 0.0, 0.0, 0.0), 1.0, 1.0)
         with pytest.raises(InvalidCommandError):
-            step_oscillator(OscillatorState(0.0, 0.0, 0.0, 0.0), math.inf, 1.0, CFG)
+            step_oscillator(OscillatorState(0.0, 0.0, 0.0, 0.0), math.inf, 1.0)
 
 
 class TestClampCommand:
@@ -85,22 +84,22 @@ class TestClosedForm:
 
 class TestInitCpg:
     def test_trot_offsets(self):
-        bank = init_cpg((0.0, math.pi, math.pi, 0.0), CFG)
+        bank = init_cpg((0.0, math.pi, math.pi, 0.0))
         assert [s.theta for s in bank] == [0.0, math.pi, math.pi, 0.0]
         assert all(s.r == 0.0 and s.r_dot == 0.0 and s.theta_dot == 0.0
                    for s in bank)
 
     def test_all_in_phase(self):
-        bank = init_cpg((0.0,) * 4, CFG)
+        bank = init_cpg((0.0,) * 4)
         assert [s.theta for s in bank] == [0.0] * 4
 
     def test_wrap_convention(self):
-        bank = init_cpg((3.0 * math.pi, 0.0, 0.0, 0.0), CFG)
+        bank = init_cpg((3.0 * math.pi, 0.0, 0.0, 0.0))
         assert bank[0].theta == pytest.approx(math.pi)
 
     def test_non_finite_phase_rejected(self):
         with pytest.raises(InvalidCommandError):
-            init_cpg((math.nan, 0.0, 0.0, 0.0), CFG)
+            init_cpg((math.nan, 0.0, 0.0, 0.0))
 
 
 class TestProperties:
@@ -111,9 +110,9 @@ class TestProperties:
             mu = rng.uniform(MU_MIN, MU_MAX)
             state = OscillatorState(0.0, 0.0, 0.0, 0.0)
             for n in range(2000):
-                state = step_oscillator(state, mu, 0.0, CFG)
-                t = (n + 1) * CFG.dt_integration
-                exact = closed_form_amplitude(mu, CFG.alpha, 0.0, 0.0, t)
+                state = step_oscillator(state, mu, 0.0)
+                t = (n + 1) * DT_INTEGRATION
+                exact = closed_form_amplitude(mu, ALPHA, 0.0, 0.0, t)
                 assert abs(state.r - exact) < 1e-3
 
     def test_no_overshoot_monotone_from_rest(self):
@@ -121,7 +120,7 @@ class TestProperties:
             state = OscillatorState(0.0, 0.0, 0.0, 0.0)
             prev = 0.0
             for _ in range(2000):
-                state = step_oscillator(state, mu, 0.0, CFG)
+                state = step_oscillator(state, mu, 0.0)
                 assert state.r >= prev - 1e-15
                 assert state.r <= mu + 1e-12
                 prev = state.r
@@ -129,7 +128,7 @@ class TestProperties:
     def test_amplitude_stays_nonnegative(self):
         state = OscillatorState(0.5, 0.0, 0.0, 0.0)
         for _ in range(2000):
-            state = step_oscillator(state, 0.5, 3.0, CFG)
+            state = step_oscillator(state, 0.5, 3.0)
             assert state.r >= 0.0
 
     def test_phase_linearity_independent_of_amplitude(self):
@@ -137,22 +136,24 @@ class TestProperties:
         a = OscillatorState(0.0, 0.0, 1.0, 0.0)
         b = OscillatorState(0.0, 0.0, 1.0, 0.0)
         for _ in range(500):
-            a = step_oscillator(a, 0.5, 3.3, CFG)
-            b = step_oscillator(b, 4.0, 3.3, CFG)
+            a = step_oscillator(a, 0.5, 3.3)
+            b = step_oscillator(b, 4.0, 3.3)
             assert a.theta == b.theta
 
     def test_phase_wrap_range(self):
         state = OscillatorState(0.0, 0.0, 0.0, 0.0)
         for _ in range(3000):
-            state = step_oscillator(state, 1.0, 5.0, CFG)
+            state = step_oscillator(state, 1.0, 5.0)
             assert 0.0 <= state.theta < TWO_PI
 
 
-class TestConfig:
-    def test_invalid_alpha(self):
-        with pytest.raises(ValueError):
-            CpgConfig(alpha=0.0)
+class TestConstants:
+    def test_substeps_span_control_period_exactly(self):
+        assert N_SUBSTEPS * DT_INTEGRATION == CONTROL_DT
 
-    def test_invalid_dt(self):
-        with pytest.raises(ValueError):
-            CpgConfig(dt_integration=-1e-3)
+    def test_config_record_reads_the_constants(self):
+        assert CpgConfig() == CpgConfig()
+        assert CpgConfig().alpha == ALPHA
+        assert CpgConfig().dt_integration == DT_INTEGRATION
+        with pytest.raises(TypeError):
+            CpgConfig(alpha=10.0)

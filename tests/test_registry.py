@@ -1,8 +1,64 @@
+import copy
+import math
+import os
+import tempfile
+
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quadcpg.cli import EXIT_CONFIG, main
 from quadcpg.registry import (MORPH_ANIMAL, MORPH_MIXED, RegistryError, UnknownRobotError, builtin_registry,
                               get_robot, load_registry, save_registry)
+
+GOOD_ENTRY = {
+    "name": "BadBot", "height_cm": 30.0, "mass_kg": 10.0,
+    "l_step_cm": 12.0, "l_clrnc_cm": 6.0, "l_pntr_cm": 1.0,
+    "x_offset_cm": 0.0, "z_offset_cm": 0.0, "dof": 12, "morphology": 1,
+    "kp": 80.0, "kd": 2.0,
+    "geometry": {
+        "hip_offsets": [[0.1, -0.03, 0.0], [0.1, 0.03, 0.0],
+                        [-0.1, -0.03, 0.0], [-0.1, 0.03, 0.0]],
+        "link_lengths": [0.2, 0.2],
+        "y_nominal": 0.024,
+    },
+}
+
+#: Registry-file key -> the field name the RegistryError must carry.
+NUMERIC_FIELDS = {
+    "kp": "kp", "kd": "kd", "mass_kg": "mass", "l_step_cm": "l_step",
+    "l_clrnc_cm": "l_clrnc", "l_pntr_cm": "l_pntr", "x_offset_cm": "x_off",
+    "z_offset_cm": "z_off", "link_lengths": "link_lengths",
+    "y_nominal": "y_nominal", "hip_offsets": "hip_offset",
+}
+
+
+def entry_with(key, value):
+    """GOOD_ENTRY with one number (or the hip offsets) replaced."""
+    entry = copy.deepcopy(GOOD_ENTRY)
+    geometry = entry["geometry"]
+    if key in entry:
+        entry[key] = value
+    elif key == "link_lengths":
+        geometry["link_lengths"] = [value, 0.2]
+    elif key == "hip_offsets":
+        geometry["hip_offsets"][2] = value if isinstance(value, list) else [-0.1, value, 0.0]
+    else:
+        geometry[key] = value
+    return entry
+
+
+def write_registry(path, entry):
+    path.write_text(yaml.safe_dump({"robots": [entry]}))
+    return str(path)
+
+
+BAD_VALUES = [pytest.param(key, value, named, id=f"{key}-{value}")
+              for key, named in NUMERIC_FIELDS.items()
+              for value in (math.nan, math.inf)]
+BAD_VALUES.append(pytest.param("hip_offsets", [-0.1, -0.03], "hip_offset",
+                               id="hip_offsets-2d"))
 
 
 class TestBuiltins:
@@ -124,3 +180,84 @@ class TestRoundTrip:
         for a, b in zip(reg, reloaded):
             assert a == b
 
+
+    def test_height_nominal_is_pf_h(self, tmp_path):
+        reg = builtin_registry()
+        path = tmp_path / "dump.yaml"
+        save_registry(reg, str(path))
+        robots = list(reg) + list(load_registry(str(path)))
+        assert len(robots) == 32
+        for robot in robots:
+            assert robot.height_nominal == robot.pf.h
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_random_valid_entry_survives_save_and_load(self, data):
+        dof, morphology = data.draw(st.sampled_from([(12, 1), (12, 2), (16, 3)]))
+        length = st.floats(0.01, 1.0)
+        coord = st.floats(-0.5, 0.5)
+        entry = {
+            "name": data.draw(st.text("abcXYZ019 -_", min_size=1, max_size=10)),
+            "height_cm": data.draw(st.floats(5.0, 200.0)),
+            "mass_kg": data.draw(st.floats(0.1, 500.0)),
+            "l_step_cm": data.draw(st.floats(0.0, 50.0)),
+            "l_clrnc_cm": data.draw(st.floats(0.0, 20.0)),
+            "l_pntr_cm": data.draw(st.floats(0.0, 5.0)),
+            "x_offset_cm": data.draw(st.floats(-20.0, 20.0)),
+            "z_offset_cm": data.draw(st.floats(-20.0, 20.0)),
+            "dof": dof,
+            "morphology": morphology,
+            "kp": data.draw(st.floats(1e-3, 5000.0)),
+            "kd": data.draw(st.floats(0.0, 500.0)),
+        }
+        if data.draw(st.booleans()):
+            entry["geometry"] = {
+                "hip_offsets": data.draw(st.lists(st.lists(coord, min_size=3, max_size=3),
+                                                  min_size=4, max_size=4)),
+                "link_lengths": data.draw(st.lists(length, min_size=dof // 4 - 1,
+                                                   max_size=dof // 4 - 1)),
+                "y_nominal": data.draw(st.floats(0.0, 0.2)),
+            }
+        with tempfile.TemporaryDirectory() as tmp:
+            src, dump = os.path.join(tmp, "src.yaml"), os.path.join(tmp, "dump.yaml")
+            with open(src, "w") as fh:
+                yaml.safe_dump({"robots": [entry]}, fh)
+            robot = load_registry(src).get(entry["name"])
+            save_registry(load_registry(src), dump)
+            reloaded = load_registry(dump).get(entry["name"])
+        assert reloaded == robot
+        assert reloaded.height_nominal == robot.pf.h == entry["height_cm"] / 100.0
+
+
+class TestBoundary:
+    """Every number of a registry entry must be finite; hips have 3 coordinates."""
+
+    @pytest.mark.parametrize("key, value, named", BAD_VALUES)
+    def test_load_rejects_and_names_robot_and_field(self, tmp_path, key, value, named):
+        path = write_registry(tmp_path / "bad.yaml", entry_with(key, value))
+        with pytest.raises(RegistryError) as exc:
+            load_registry(path)
+        assert "BadBot" in str(exc.value)
+        assert named in str(exc.value)
+
+    @pytest.mark.parametrize("key, value, named", BAD_VALUES)
+    def test_cli_rollout_exits_config_and_writes_nothing(self, capsys, tmp_path,
+                                                         key, value, named):
+        path = write_registry(tmp_path / "bad.yaml", entry_with(key, value))
+        out = tmp_path / "bad.csv"
+        code = main(["--registry", path, "rollout", "--robot", "BadBot",
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "BadBot" in err and named in err
+        assert os.listdir(tmp_path) == ["bad.yaml"]
+
+    def test_negative_y_nominal_rejected(self, tmp_path):
+        path = write_registry(tmp_path / "bad.yaml", entry_with("y_nominal", -0.03))
+        with pytest.raises(RegistryError, match="BadBot: y_nominal"):
+            load_registry(path)
+
+    def test_good_entry_loads(self, tmp_path):
+        path = write_registry(tmp_path / "good.yaml", GOOD_ENTRY)
+        robot = load_registry(path).get("BadBot")
+        assert robot.height_nominal == robot.pf.h == 0.30

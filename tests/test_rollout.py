@@ -4,8 +4,6 @@ import math
 import pytest
 
 from quadcpg.controllers import open_loop_trot
-from quadcpg.environment import QuadrupedEnv
-from quadcpg.oscillator import CpgConfig
 from quadcpg.registry import builtin_registry
 from quadcpg.rollout import (read_record_csv, record_columns,
                              run_open_loop_trajectory, run_rollout,
@@ -68,13 +66,6 @@ class TestTrajectoryMatchesRollout:
         for row, rec in zip(rows, record.rows):
             assert [row[i] for i in it] == [rec[i] for i in ir]
             assert abs(row[t_traj] - rec[t_roll]) <= 1e-9
-
-    def test_non_dividing_integration_step_rejected(self):
-        config = CpgConfig(dt_integration=0.003)
-        with pytest.raises(ValueError, match="dt_integration"):
-            QuadrupedEnv(A1, cpg_config=config)
-        with pytest.raises(ValueError, match="dt_integration"):
-            run_open_loop_trajectory(A1, 1.0, 2.5, 1.0, cpg_config=config)
 
 
 class TestRunRollout:
