@@ -15,6 +15,7 @@ from .oscillator import (TROT_PHASES, CpgCommand, CpgConfig, InvalidCommandError
                          init_cpg, step_oscillator)
 from .registry import (Registry, RegistryError, RobotDescriptor, UnknownRobotError,
                        builtin_registry, get_robot, load_registry, save_registry)
+from .batch import evaluate_batch
 from .controllers import (ConstantCommandPolicy, PolicyAdapter, SearchResult,
                           evaluate_constant_command, open_loop_trot,
                           search_constant_command)
@@ -31,7 +32,8 @@ __all__ = [
     "Registry", "RegistryError", "RewardTerms", "RobotDescriptor",
     "RolloutRecord", "SearchResult", "TROT_PHASES", "UnknownRobotError",
     "build_observation", "builtin_registry", "clamp_command",
-    "closed_form_amplitude", "compute_reward", "evaluate_constant_command",
+    "closed_form_amplitude", "compute_reward", "evaluate_batch",
+    "evaluate_constant_command",
     "fk_all_feet", "fk_leg", "foot_target", "get_robot", "ik_leg", "init_cpg",
     "leg_pf_params", "load_registry", "open_loop_trot", "read_record_csv",
     "run_open_loop_trajectory", "run_rollout", "save_registry",

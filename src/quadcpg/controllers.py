@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import List, Protocol, Sequence, Tuple
 
+from .batch import evaluate_batch
 from .environment import QuadrupedEnv
 from .oscillator import MU_MAX, MU_MIN, OMEGA_MAX_HZ, OMEGA_MIN_HZ, TROT_PHASES
 from .registry import RobotDescriptor
@@ -104,24 +105,19 @@ def search_constant_command(robot: RobotDescriptor, budget: int, seed: int = 0,
                             horizon: int = 100) -> SearchResult:
     """Uniform random search over the (mu, omega) command box.
 
-    Commands are shared across limbs, phases fixed to a trot.  The
-    argmax is deterministic for a given seed; ties break toward the
-    lowest sample index, so evaluation order cannot change the result.
+    Commands are shared across limbs, phases fixed to a trot.  All
+    candidates are evaluated together by `evaluate_batch`, whose returns
+    equal `evaluate_constant_command`'s bit for bit.  The argmax is
+    deterministic for a given seed; ties break toward the lowest sample
+    index, so evaluation order cannot change the result.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
     rng = random.Random(seed)
     candidates = [(rng.uniform(MU_MIN, MU_MAX), rng.uniform(OMEGA_MIN_HZ, OMEGA_MAX_HZ))
                   for _ in range(budget)]
+    returns = evaluate_batch(robot, candidates, horizon, seed=seed)
 
-    samples: List[Tuple[float, float, float]] = []
-    best_idx, best_return = 0, float("-inf")
-    for idx, (mu, omega) in enumerate(candidates):
-        ret = evaluate_constant_command(robot, mu, omega, horizon, seed=seed)
-        samples.append((mu, omega, ret))
-        if ret > best_return:
-            best_idx, best_return = idx, ret
-    best_mu, best_omega = candidates[best_idx]
+    samples = [(mu, omega, ret) for (mu, omega), ret in zip(candidates, returns)]
+    best_mu, best_omega, best_return = samples[returns.index(max(returns))]
     return SearchResult(best_mu, best_omega, best_return, samples)

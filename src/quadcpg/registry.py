@@ -31,6 +31,7 @@ Entries in a user file are merged over the built-ins by name.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -182,6 +183,17 @@ def default_legs(height_m: float, dof_total: int, morphology: str,
     return tuple(legs)
 
 
+#: Default of a registry field that has none: absent or null is an error.
+_REQUIRED = object()
+
+
+def _float_list(value, cast=float) -> tuple:
+    """cast over a YAML list; TypeError for a scalar, a string or a mapping."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"expected a list, got {value!r}")
+    return tuple(cast(v) for v in value)
+
+
 def _descriptor_from_entry(entry: Dict) -> RobotDescriptor:
     """Build and validate one descriptor from a registry-file entry."""
     try:
@@ -189,14 +201,17 @@ def _descriptor_from_entry(entry: Dict) -> RobotDescriptor:
     except (KeyError, TypeError):
         raise RegistryError(f"robot entry missing 'name': {entry!r}") from None
 
-    def field(key, cast=float):
-        if key not in entry:
+    def field(key, cast=float, source=entry, prefix="", default=_REQUIRED):
+        value = source.get(key)
+        if value is None and default is not _REQUIRED:
+            return default
+        if key not in source:
             raise RegistryError(f"{name}: missing field {key!r}")
         try:
-            return cast(entry[key])
+            return cast(value)
         except (TypeError, ValueError):
             raise RegistryError(
-                f"{name}: field {key!r} has invalid value {entry[key]!r}") from None
+                f"{name}: field {prefix + key!r} has invalid value {value!r}") from None
 
     height_m = field("height_cm") / 100.0
     if height_m <= 0.0 or not math.isfinite(height_m):
@@ -210,13 +225,16 @@ def _descriptor_from_entry(entry: Dict) -> RobotDescriptor:
     if morphology is None:
         raise RegistryError(f"{name}: unknown morphology {morph_raw!r}")
 
-    geometry = entry.get("geometry") or {}
+    geometry = entry.get("geometry")
+    if not isinstance(geometry, (dict, type(None))):
+        raise RegistryError(f"{name}: field 'geometry' must be a mapping, got {geometry!r}")
+    geo = dict(source=geometry or {}, prefix="geometry.", default=None)
     try:
         legs = default_legs(
             height_m, dof, morphology,
-            link_lengths=geometry.get("link_lengths"),
-            hip_offsets=geometry.get("hip_offsets"),
-            y_nominal=geometry.get("y_nominal"),
+            link_lengths=field("link_lengths", _float_list, **geo),
+            hip_offsets=field("hip_offsets", lambda v: _float_list(v, _float_list), **geo),
+            y_nominal=field("y_nominal", **geo),
         )
         pf = PfParams(
             h=height_m,
@@ -224,7 +242,7 @@ def _descriptor_from_entry(entry: Dict) -> RobotDescriptor:
             l_clrnc=field("l_clrnc_cm") / 100.0,
             l_pntr=field("l_pntr_cm") / 100.0,
             x_off=field("x_offset_cm") / 100.0,
-            z_off=float(entry.get("z_offset_cm", 0.0)) / 100.0,
+            z_off=field("z_offset_cm", default=0.0) / 100.0,
             y_nominal=abs(legs[0].abd_offset),
         )
         return RobotDescriptor(
@@ -291,8 +309,9 @@ class Registry:
         return robot
 
 
+@functools.cache
 def builtin_registry() -> Registry:
-    """The 16 built-in robots, no files required."""
+    """The 16 built-in robots, no files required; built once, then shared."""
     robots = []
     for (name, h, lstep, lclr, lpntr, xoff, dof, morph, mass, kp, kd) in _BUILTIN_ROWS:
         robots.append(_descriptor_from_entry({

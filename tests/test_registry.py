@@ -109,6 +109,11 @@ class TestLookup:
     def test_get_robot_default_registry(self):
         assert get_robot("HYQ").mass == 86.7
 
+    def test_builtin_registry_built_once(self):
+        assert get_robot("A1") is get_robot("A1")
+        assert builtin_registry() is builtin_registry()
+        assert len(load_registry(None)) == 16
+
 
 class TestFiles:
     def test_user_file_adds_robot(self, tmp_path):
@@ -261,3 +266,52 @@ class TestBoundary:
         path = write_registry(tmp_path / "good.yaml", GOOD_ENTRY)
         robot = load_registry(path).get("BadBot")
         assert robot.height_nominal == robot.pf.h == 0.30
+
+
+#: (geometry or entry replacement, the field the RegistryError must name).
+WRONG_TYPES = [
+    pytest.param({"geometry": 5}, "geometry", id="geometry-int"),
+    pytest.param({"geometry": [0.2, 0.2]}, "geometry", id="geometry-list"),
+    pytest.param({"geometry": {"hip_offsets": 5}}, "hip_offsets", id="hip_offsets-int"),
+    pytest.param({"geometry": {"hip_offsets": [1, 2, 3, 4]}}, "hip_offsets",
+                 id="hip_offsets-flat"),
+    pytest.param({"geometry": {"link_lengths": 0.2}}, "link_lengths", id="link_lengths-float"),
+    pytest.param({"geometry": {"link_lengths": "0.2"}}, "link_lengths", id="link_lengths-str"),
+    pytest.param({"geometry": {"y_nominal": [0.02]}}, "y_nominal", id="y_nominal-list"),
+    pytest.param({"geometry": {"y_nominal": "wide"}}, "y_nominal", id="y_nominal-str"),
+    pytest.param({"z_offset_cm": [1.0]}, "z_offset_cm", id="z_offset_cm-list"),
+]
+
+
+class TestWrongTypes:
+    """A YAML value of the wrong type is a named RegistryError, not a crash."""
+
+    @staticmethod
+    def entry(replacement):
+        entry = copy.deepcopy(GOOD_ENTRY)
+        del entry["geometry"]
+        entry.update(replacement)
+        return entry
+
+    @pytest.mark.parametrize("replacement, named", WRONG_TYPES)
+    def test_load_names_robot_and_field(self, tmp_path, replacement, named):
+        path = write_registry(tmp_path / "bad.yaml", self.entry(replacement))
+        with pytest.raises(RegistryError) as exc:
+            load_registry(path)
+        assert "BadBot" in str(exc.value) and named in str(exc.value)
+
+    @pytest.mark.parametrize("replacement, named", WRONG_TYPES)
+    def test_cli_robots_exits_config(self, capsys, tmp_path, replacement, named):
+        path = write_registry(tmp_path / "bad.yaml", self.entry(replacement))
+        assert main(["--registry", path, "robots"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "BadBot" in err and named in err
+
+    @pytest.mark.parametrize("replacement", [{"geometry": None}, {"geometry": {}},
+                                             {"z_offset_cm": None}])
+    def test_empty_values_take_the_defaults(self, tmp_path, replacement):
+        path = write_registry(tmp_path / "ok.yaml", self.entry(replacement))
+        robot = load_registry(path).get("BadBot")
+        assert robot.pf.z_off == 0.0
+        if "geometry" in replacement:   # A1 has the same height, DoF and morphology
+            assert robot.legs == get_robot("A1").legs

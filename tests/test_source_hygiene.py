@@ -75,3 +75,44 @@ def test_package_all_resolves():
     missing = [name for name in quadcpg.__all__ if not hasattr(quadcpg, name)]
     assert not missing
     assert len(set(quadcpg.__all__)) == len(quadcpg.__all__)
+
+
+#: numpy calls that batch.py must not make: transcendentals whose last bit
+#: differs from `math` (the kernel routes acos/atan2/hypot through `math`),
+#: and reductions that reorder float additions (pairwise summation).
+BATCH_FORBIDDEN = {
+    "arccos", "arcsin", "arctan", "arctan2", "arccosh", "arcsinh", "arctanh",
+    "hypot", "exp", "exp2", "expm1", "log", "log2", "log10", "log1p", "tan",
+    "tanh", "sinh", "cosh", "power", "float_power", "cbrt", "sum", "nansum",
+    "cumsum", "prod", "mean", "average", "dot", "vdot", "inner", "matmul",
+    "einsum", "tensordot", "norm", "linalg",
+}
+
+
+def batch_violations(source):
+    """(line, what) for every forbidden numpy function or array method, or `@`;
+    the `math` module's own functions are the allowed route."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr in BATCH_FORBIDDEN
+                and not (isinstance(node.value, ast.Name) and node.value.id == "math")):
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+    return found
+
+
+def test_batch_kernel_keeps_to_exact_operations():
+    assert batch_violations((SRC / "batch.py").read_text()) == []
+
+
+@pytest.mark.parametrize("snippet", [
+    "q = np.arctan2(y, x)", "h = np.hypot(u, v)", "s = np.sum(p, axis=1)",
+    "s = p.sum()", "s = np.dot(t, qd)", "s = t @ qd", "s @= t", "e = np.exp(x)",
+    "n = np.linalg.norm(v)"])
+def test_batch_guard_catches(snippet):
+    assert batch_violations(snippet)
+
+
+def test_batch_guard_allows_math_and_sin_cos():
+    assert batch_violations("h = math.hypot(u, v) + math.atan2(y, x) + np.sin(a)") == []
