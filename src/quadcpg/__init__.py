@@ -2,7 +2,7 @@
 
 CPG rhythm generation, pattern-formation foot trajectories, analytical
 inverse kinematics for three leg morphologies, and a fixed-size
-locomotion MDP over a pluggable dynamics backend.
+locomotion MDP over a deterministic kinematic world model.
 """
 
 from .environment import (ACTION_SIZE, OBSERVATION_SIZE, KinematicBackend,

@@ -14,16 +14,21 @@ the scalar `QuadrupedEnv` stays the single-env path and the oracle.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from itertools import islice
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
-from .environment import (CONTACT_TOL, HEIGHT_SERVO_TAU, LAG_TAU_MAX, MIN_HEIGHT_FRAC,
-                          N_SUBSTEPS, W_FORWARD, W_ORIENTATION, W_POWER, QuadrupedEnv)
+from .environment import (CONTACT_TOL, N_SUBSTEPS, W_FORWARD, W_ORIENTATION, W_POWER,
+                          QuadrupedEnv)
 from .foot_trajectory import leg_pf_params
 from .kinematics import _CLAMP_TOL, ELBOW_DOWN, FOOT_COUPLING_RATIO
 from .oscillator import ALPHA, DT_INTEGRATION, TROT_PHASES, TWO_PI, clamp_command
 from .registry import RobotDescriptor
+
+#: Lanes stepped together.  Past about a thousand lanes numpy's per-call
+#: overhead is already amortised, so larger chunks only hold more memory.
+LANES_PER_CHUNK = 1024
 
 
 def _math(fn, *arrays: np.ndarray) -> np.ndarray:
@@ -125,19 +130,27 @@ class _Legs:
         return -sx + self.hip_x, z + self.hip_z
 
 
-def evaluate_batch(robot: RobotDescriptor, commands: Sequence[Tuple[float, float]],
-                   horizon: int, seed: int = 0) -> List[float]:
-    """evaluate_constant_command of every (mu, omega), all episodes at once."""
+def evaluate_batch(robot: RobotDescriptor, commands: Iterable[Tuple[float, float]],
+                   horizon: int) -> List[float]:
+    """evaluate_constant_command of every (mu, omega), LANES_PER_CHUNK at a time."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    cmds = [clamp_command((mu,) * 4 + (omega,) * 4) for mu, omega in commands]
-    if not cmds:
-        return []
-    n = len(cmds)
     env = QuadrupedEnv(robot)
-    env.reset(seed=seed, initial_phases=TROT_PHASES)
-    backend, cpg = env.backend, env.cpg_states
-    legs, pf = _Legs(robot), robot.pf
+    env.reset(initial_phases=TROT_PHASES)
+    legs = _Legs(robot)
+    returns: List[float] = []
+    lanes = iter(commands)
+    while chunk := list(islice(lanes, LANES_PER_CHUNK)):
+        returns += _episodes(env, legs, chunk, horizon)
+    return returns
+
+
+def _episodes(env: QuadrupedEnv, legs: _Legs, commands, horizon: int) -> List[float]:
+    """The returns of one chunk of episodes, from the state `env` was reset to."""
+    cmds = [clamp_command((mu,) * 4 + (omega,) * 4) for mu, omega in commands]
+    n = len(cmds)
+    robot, backend, cpg = env.robot, env.backend, env.cpg_states
+    pf = robot.pf
     y = np.array([[p.y_nominal for p in leg_pf_params(robot)]] * n)
     mu = np.array([c.mu for c in cmds])
     theta_dot = TWO_PI * np.array([c.omega for c in cmds])
@@ -149,13 +162,10 @@ def evaluate_batch(robot: RobotDescriptor, commands: Sequence[Tuple[float, float
     bx, _, bz = (np.full(n, v) for v in backend.base_pos)
     vx = np.full(n, backend.base_lin_vel[0])
 
-    # the constants of step_oscillator, KinematicBackend.advance and QuadrupedEnv
+    # the constants of step_oscillator; the rest are the env's and backend's own
     dt = DT_INTEGRATION
     gain = ALPHA * ALPHA / 4.0
-    tau_lag = min(max(max(robot.kd / robot.kp, 1e-6), dt), LAG_TAU_MAX)
-    lag = dt / max(tau_lag, dt)
-    servo = min(1.0, dt / HEIGHT_SERVO_TAU)
-    min_height = MIN_HEIGHT_FRAC * robot.height_nominal
+    lag, servo = backend.lag_factor, backend.servo_factor
     orientation = W_ORIENTATION * 0.0   # the kinematic backend keeps the base flat
 
     total = np.zeros(n)
@@ -197,7 +207,7 @@ def evaluate_batch(robot: RobotDescriptor, commands: Sequence[Tuple[float, float
         prev_qd = qd
         reward = forward + orientation + W_POWER * np.abs(power)
         total = np.where(alive, total + reward, total)
-        alive &= ~(bz < min_height)
+        alive &= ~(bz < env.min_height)
         if not alive.any():
             break
     return total.tolist()

@@ -16,7 +16,8 @@ from typing import List, Protocol, Sequence, Tuple
 
 from .batch import evaluate_batch
 from .environment import QuadrupedEnv
-from .oscillator import MU_MAX, MU_MIN, OMEGA_MAX_HZ, OMEGA_MIN_HZ, TROT_PHASES
+from .oscillator import (MU_MAX, MU_MIN, OMEGA_MAX_HZ, OMEGA_MIN_HZ, TROT_PHASES,
+                         check_command_box)
 from .registry import RobotDescriptor
 
 
@@ -49,18 +50,15 @@ def open_loop_trot(mu: float, omega: float) -> ConstantCommandPolicy:
     Out-of-limit arguments are rejected rather than clamped so baseline
     results always reflect the requested command.
     """
-    if not (MU_MIN <= mu <= MU_MAX):
-        raise ValueError(f"mu={mu} outside [{MU_MIN}, {MU_MAX}]")
-    if not (OMEGA_MIN_HZ <= omega <= OMEGA_MAX_HZ):
-        raise ValueError(f"omega={omega} outside [{OMEGA_MIN_HZ}, {OMEGA_MAX_HZ}] Hz")
+    check_command_box(mu, omega)
     return ConstantCommandPolicy(mu, omega)
 
 
 def evaluate_constant_command(robot: RobotDescriptor, mu: float, omega: float,
-                              horizon: int, seed: int = 0) -> float:
+                              horizon: int) -> float:
     """Episodic return of a constant command over `horizon` control steps."""
     env = QuadrupedEnv(robot)
-    obs = env.reset(seed=seed, initial_phases=TROT_PHASES)
+    obs = env.reset(initial_phases=TROT_PHASES)
     action = (mu,) * 4 + (omega,) * 4
     total = 0.0
     for _ in range(horizon):
@@ -116,7 +114,7 @@ def search_constant_command(robot: RobotDescriptor, budget: int, seed: int = 0,
     rng = random.Random(seed)
     candidates = [(rng.uniform(MU_MIN, MU_MAX), rng.uniform(OMEGA_MIN_HZ, OMEGA_MAX_HZ))
                   for _ in range(budget)]
-    returns = evaluate_batch(robot, candidates, horizon, seed=seed)
+    returns = evaluate_batch(robot, candidates, horizon)
 
     samples = [(mu, omega, ret) for (mu, omega), ret in zip(candidates, returns)]
     best_mu, best_omega, best_return = samples[returns.index(max(returns))]

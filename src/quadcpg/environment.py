@@ -3,7 +3,7 @@
 Each control step clamps the 8-D command, then runs ten inner substeps.
 Every substep advances the four oscillators, maps them to task-space
 foot targets, solves the analytical IK and hands the desired joint
-positions to the dynamics backend.  The reward is computed once per
+positions to the kinematic backend.  The reward is computed once per
 control step from the accumulated forward progress.
 
 The observation is a fixed 49-vector for every robot, regardless of DoF
@@ -17,19 +17,19 @@ Joint positions and velocities are deliberately absent; feet positions
 are recomputed from the backend's joint positions through forward
 kinematics rather than read from any foot sensor.
 
-The built-in KinematicBackend is a simplified stand-in for a physics
+The world is KinematicBackend, a simplified stand-in for a physics
 simulator: stance feet are treated as ground anchors, so the base moves
 opposite to the mean stance-foot velocity, and joints track their
-targets through a first-order lag derived from the PD gains.  It is
-deterministic and validates the control stack analytically; a full
-rigid-body backend can be plugged in through the same interface.
+targets through a first-order lag derived from the PD gains.  It draws
+no random number, so an episode depends only on the robot and the
+commands; it validates the control stack analytically.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Protocol, Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -124,50 +124,29 @@ class Observation:
         return OBSERVATION_SIZE
 
 
-class DynamicsBackend(Protocol):
-    """Contract for pluggable dynamics.
-
-    reset(q0, seed) places the robot in a nominal standing pose with the
-    given joint positions; advance(q_des, dt) moves the world forward by
-    exactly dt given desired joint positions for all four legs.  After
-    either call the attributes below describe the new state.  Backends
-    must be deterministic for a fixed seed.
-    """
-
-    base_pos: Tuple[float, float, float]
-    base_rpy: Tuple[float, float, float]
-    base_lin_vel: Tuple[float, float, float]
-    base_ang_vel: Tuple[float, float, float]
-    joint_positions: Sequence[Sequence[float]]
-    joint_velocities: Sequence[Sequence[float]]
-    joint_torques: Sequence[Sequence[float]]
-    foot_contacts: Tuple[bool, bool, bool, bool]
-
-    def reset(self, q0: Sequence[Sequence[float]], seed: int = 0) -> None: ...
-
-    def advance(self, q_des: Sequence[Sequence[float]], dt: float) -> None: ...
-
-
 class KinematicBackend:
-    """Stance-anchored kinematic body model.
+    """Stance-anchored kinematic body model, advanced DT_INTEGRATION per call.
 
-    Joints follow desired positions through a first-order lag whose time
-    constant comes from the PD gain ratio kd/kp, clamped to
-    [dt, LAG_TAU_MAX] so tracking stays both stable and fast enough for
-    the stance-sweep velocity model to hold.  Torques are reported from
-    the PD law tau = kp * (q_des - q) - kd * qdot.  Feet at or below the
-    ground plane count as contacts and anchor the base: its planar
-    velocity is the negative mean stance-foot velocity in the body
-    frame.  The base height is servoed to the nominal standing height;
-    orientation remains flat.
+    Joints close `lag_factor` of their error to the desired positions per
+    step: a first-order lag whose time constant, the PD gain ratio kd/kp,
+    is clamped to [DT_INTEGRATION, LAG_TAU_MAX] so tracking stays stable
+    and fast enough for the stance-sweep velocity model to hold.  Torques
+    follow the PD law tau = kp * (q_des - q) - kd * qdot.  Feet at or below
+    the ground plane count as contacts and anchor the base: its planar
+    velocity is the negative mean stance-foot velocity in the body frame.
+    The base height closes `servo_factor` of its error to the nominal
+    standing height per step; orientation remains flat.
     """
 
     def __init__(self, robot: RobotDescriptor):
         self.robot = robot
-        self._lag_tau = max(robot.kd / robot.kp, 1e-6)
+        dt = DT_INTEGRATION
+        tau_lag = min(max(max(robot.kd / robot.kp, 1e-6), dt), LAG_TAU_MAX)
+        self.lag_factor = dt / max(tau_lag, dt)
+        self.servo_factor = min(1.0, dt / HEIGHT_SERVO_TAU)
         self.reset([[0.0] * robot.leg_dof for _ in range(4)])
 
-    def reset(self, q0, seed: int = 0) -> None:
+    def reset(self, q0) -> None:
         robot = self.robot
         self.base_pos = (0.0, 0.0, robot.height_nominal)
         self.base_rpy = (0.0, 0.0, 0.0)
@@ -183,11 +162,10 @@ class KinematicBackend:
         base_z = self.base_pos[2]
         return tuple(base_z + f[2] <= CONTACT_TOL for f in self._feet)
 
-    def advance(self, q_des, dt: float) -> None:
+    def advance(self, q_des) -> None:
         robot = self.robot
         kp, kd = robot.kp, robot.kd
-        tau_lag = min(max(self._lag_tau, dt), LAG_TAU_MAX)
-        a = dt / max(tau_lag, dt)
+        a, dt = self.lag_factor, DT_INTEGRATION
 
         q_all = self.joint_positions
         qd_all = self.joint_velocities
@@ -224,7 +202,7 @@ class KinematicBackend:
             vx, vy = self.base_lin_vel[0], self.base_lin_vel[1]
 
         bx, by, bz = self.base_pos
-        dz = (robot.height_nominal - bz) * min(1.0, dt / HEIGHT_SERVO_TAU)
+        dz = (robot.height_nominal - bz) * self.servo_factor
         self.base_pos = (bx + vx * dt, by + vy * dt, bz + dz)
         self.base_lin_vel = (vx, vy, dz / dt)
 
@@ -254,14 +232,14 @@ def build_observation(robot: RobotDescriptor, backend, cpg_states,
 
 
 class QuadrupedEnv:
-    """The locomotion environment for one robot over a dynamics backend."""
+    """One robot's episodes over its KinematicBackend; step raises from done to reset."""
 
-    def __init__(self, robot: RobotDescriptor, backend=None):
+    def __init__(self, robot: RobotDescriptor):
         self.robot = robot
-        self.backend = backend if backend is not None else KinematicBackend(robot)
+        self.backend = KinematicBackend(robot)
         self.control_dt = CONTROL_DT
         self.d_max = V_CAP * CONTROL_DT
-        self._min_height = MIN_HEIGHT_FRAC * robot.height_nominal
+        self.min_height = MIN_HEIGHT_FRAC * robot.height_nominal
         self.n_substeps = N_SUBSTEPS
         self._pf = leg_pf_params(robot)
         self._solvers = tuple(
@@ -273,14 +251,17 @@ class QuadrupedEnv:
 
     def reset(self, seed: int = 0, initial_phases: Sequence[float] = TROT_PHASES
               ) -> Observation:
-        """Standing start at nominal height with the given phase offsets."""
+        """Standing start at nominal height with the given phase offsets.
+
+        `seed` does not affect the episode, which draws no random number.
+        """
         robot = self.robot
         self._cpg = init_cpg(initial_phases)
         q0 = []
         for leg, pf, solve in zip(robot.legs, self._pf, self._solvers):
             q, _ = solve(leg, pf.x_off, pf.y_nominal, pf.z_off - pf.h)
             q0.append(list(q))
-        self.backend.reset(q0, seed)
+        self.backend.reset(q0)
         self._prev_action = (0.0,) * ACTION_SIZE
         self._prev_qdot = [0.0] * self._n_joints
         self.time = 0.0
@@ -291,11 +272,12 @@ class QuadrupedEnv:
         """Apply one 100 Hz command; returns (obs, reward, done, info)."""
         if self._cpg is None:
             raise RuntimeError("environment must be reset before stepping")
+        if self.done:
+            raise RuntimeError("episode is done; reset before stepping again")
         cmd = clamp_command(action)
         mu, omega = cmd.mu, cmd.omega
 
         backend = self.backend
-        dt = DT_INTEGRATION
         legs = self.robot.legs
         pf = self._pf
         solvers = self._solvers
@@ -315,7 +297,7 @@ class QuadrupedEnv:
                 if clamped:
                     workspace_violations += 1
                 q_des[i] = q
-            backend.advance(q_des, dt)
+            backend.advance(q_des)
 
         f_x = backend.base_pos[0] - x0
         qdot = [v for leg in backend.joint_velocities for v in leg]
@@ -328,8 +310,8 @@ class QuadrupedEnv:
 
         roll, pitch, _ = backend.base_rpy
         fell = (abs(roll) > FALL_ANGLE_LIMIT or abs(pitch) > FALL_ANGLE_LIMIT
-                or backend.base_pos[2] < self._min_height)
-        self.done = self.done or fell
+                or backend.base_pos[2] < self.min_height)
+        self.done = fell
 
         obs = build_observation(self.robot, backend, cpg, self._prev_action)
         info = {

@@ -35,6 +35,14 @@ class InvalidCommandError(ValueError):
     """Raised for NaN/non-finite oscillator commands or states."""
 
 
+def check_command_box(mu: float, omega: float) -> None:
+    """Raise ValueError unless mu and omega lie in the command box; NaN never does."""
+    if not (MU_MIN <= mu <= MU_MAX):
+        raise ValueError(f"mu={mu} outside [{MU_MIN}, {MU_MAX}]")
+    if not (OMEGA_MIN_HZ <= omega <= OMEGA_MAX_HZ):
+        raise ValueError(f"omega={omega} outside [{OMEGA_MIN_HZ}, {OMEGA_MAX_HZ}] Hz")
+
+
 class OscillatorState(NamedTuple):
     """Per-limb rhythm generator state."""
 

@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence
 
 from .environment import CONTROL_DT, N_SUBSTEPS, QuadrupedEnv
 from .foot_trajectory import leg_pf_params
-from .oscillator import ALPHA, DT_INTEGRATION, TROT_PHASES, init_cpg
+from .oscillator import ALPHA, DT_INTEGRATION, TROT_PHASES, check_command_box, init_cpg
 from .registry import RobotDescriptor
 
 SCHEMA_VERSION = 1
@@ -108,15 +108,16 @@ def _control_periods(duration: float) -> int:
     return int(round(duration / CONTROL_DT))
 
 
-def run_rollout(robot: RobotDescriptor, policy, duration: float, seed: int = 0,
-                backend=None) -> RolloutRecord:
+def run_rollout(robot: RobotDescriptor, policy, duration: float,
+                seed: int = 0) -> RolloutRecord:
     """Run one episode of `duration` seconds with the given policy.
 
     The oscillators start from the policy's `initial_phases`, or from a
-    trot if it has none.
+    trot if it has none.  The episode depends only on the robot, the
+    policy and the duration; `seed` labels the record and its manifest.
     """
     n_steps = _control_periods(duration)
-    env = QuadrupedEnv(robot, backend=backend)
+    env = QuadrupedEnv(robot)
     phases = getattr(policy, "initial_phases", TROT_PHASES)
     obs = env.reset(seed=seed, initial_phases=phases)
 
@@ -180,12 +181,14 @@ def run_open_loop_trajectory(robot: RobotDescriptor, mu: float, omega: float,
     """CPG + pattern formation only, no backend: sampled foot targets.
 
     The oscillators start from a trot, are integrated at the 1 kHz rate
-    and are sampled once per control period.  Returns (columns, rows).
+    and are sampled once per control period.  A command outside the
+    command box raises ValueError.  Returns (columns, rows).
     """
     # looked up at call time, so replacements patched onto these modules see every call
     from .foot_trajectory import foot_target
     from .oscillator import step_oscillator
 
+    check_command_box(mu, omega)
     n_samples = _control_periods(duration)
     cpg = init_cpg(TROT_PHASES)
     pf = leg_pf_params(robot)
@@ -206,12 +209,11 @@ def run_open_loop_trajectory(robot: RobotDescriptor, mu: float, omega: float,
 
 
 def write_csv(columns: Sequence[str], rows, path: str) -> None:
-    """Write any (columns, rows) table with round-trip float formatting."""
+    """Write a table of floats as csv.writer would: repr values, none quoted, CRLF."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
+        fh.write(",".join(columns) + "\r\n")
         for row in rows:
-            writer.writerow([repr(v) for v in row])
+            fh.write(",".join(map(repr, row)) + "\r\n")
 
 
 def write_record_csv(record: RolloutRecord, path: str) -> None:

@@ -196,7 +196,7 @@ class TestAcceptance:
                                          horizon=horizon)
         grid = [(0.5 + (4.0 - 0.5) * i / 49, 5.0 * j / 49)
                 for i in range(50) for j in range(50)]
-        grid_best = max(evaluate_batch(robot, grid, horizon=horizon, seed=0))
+        grid_best = max(evaluate_batch(robot, grid, horizon=horizon))
         elapsed = time.perf_counter() - t0
         ratio = result.best_return / grid_best
         report(f"200-sample search reaches {100 * ratio:.1f}% of 50x50 grid "

@@ -24,8 +24,8 @@ CORNERS = [(MU_MIN, OMEGA_MIN_HZ), (MU_MIN, OMEGA_MAX_HZ),
 OUT_OF_BOX = [(5.0, 6.0), (0.1, -1.0), (-3.0, 10.0), (100.0, 0.2)]
 
 
-def scalar_returns(robot, commands, horizon=HORIZON, seed=0):
-    return [evaluate_constant_command(robot, mu, omega, horizon, seed=seed)
+def scalar_returns(robot, commands, horizon=HORIZON):
+    return [evaluate_constant_command(robot, mu, omega, horizon)
             for mu, omega in commands]
 
 
@@ -62,11 +62,33 @@ def test_lanes_are_independent():
     assert alone == scalar_returns(robot, commands[17:18])
 
 
+def test_chunk_boundaries_equal_scalar():
+    robot = REG.get("Dog3")
+    chunk = batch.LANES_PER_CHUNK
+    n, horizon = 2 * chunk + 5, 4
+    rng = random.Random(3)
+    commands = [(rng.uniform(MU_MIN, MU_MAX), rng.uniform(OMEGA_MIN_HZ, OMEGA_MAX_HZ))
+                for _ in range(n)]
+    got = evaluate_batch(robot, commands, horizon)
+    assert len(got) == n
+    edges = {0, n - 1}
+    for start in range(chunk, n, chunk):
+        edges |= {start - 1, start}
+    for i in sorted(edges):
+        assert [got[i]] == scalar_returns(robot, commands[i:i + 1], horizon), i
+
+
+def test_every_lane_of_small_chunks_equals_scalar(monkeypatch):
+    monkeypatch.setattr(batch, "LANES_PER_CHUNK", 3)
+    robot = REG.get("A1")
+    commands = CORNERS + OUT_OF_BOX   # three chunks, the last one partial
+    assert evaluate_batch(robot, commands, HORIZON) == scalar_returns(robot, commands)
+
+
 def test_termination_is_sticky_and_matches_scalar(monkeypatch):
     # the kinematic backend holds the nominal height, so raise the fall
     # threshold above it: every episode then ends after its first step
-    for module in (environment, batch):
-        monkeypatch.setattr(module, "MIN_HEIGHT_FRAC", 1.5)
+    monkeypatch.setattr(environment, "MIN_HEIGHT_FRAC", 1.5)
     robot = REG.get("A1")
     commands = [(1.0, 2.5), (4.0, 5.0)]
     got = evaluate_batch(robot, commands, HORIZON)
@@ -92,7 +114,7 @@ def test_search_equals_scalar_loop(name, seed):
     rng = random.Random(seed)
     candidates = [(rng.uniform(MU_MIN, MU_MAX), rng.uniform(OMEGA_MIN_HZ, OMEGA_MAX_HZ))
                   for _ in range(budget)]
-    returns = scalar_returns(robot, candidates, horizon, seed=seed)
+    returns = scalar_returns(robot, candidates, horizon)
     best = max(range(budget), key=lambda i: (returns[i], -i))
 
     result = search_constant_command(robot, budget, seed=seed, horizon=horizon)

@@ -90,7 +90,7 @@ class TestTraj:
             "traj", "--robot", "A1", "--mu", "9.0",
             "--out", str(tmp_path / "x.csv")])
         assert code == EXIT_CONFIG
-        assert err
+        assert err == "error: mu=9.0 outside [0.5, 4.0]\n"
 
 
 class TestRollout:

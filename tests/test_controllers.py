@@ -28,6 +28,9 @@ class TestOpenLoopTrot:
             open_loop_trot(1.0, -0.1)
         with pytest.raises(ValueError):
             open_loop_trot(0.4, 1.0)
+        for mu, omega in [(math.nan, 2.5), (1.0, math.nan)]:
+            with pytest.raises(ValueError, match="outside"):
+                open_loop_trot(mu, omega)
 
     def test_passes_clamp_unchanged(self):
         action = open_loop_trot(1.3, 3.1)(None)
@@ -132,7 +135,7 @@ class TestSearch:
         assert doc["best_so_far"] == result.best_so_far
 
     def test_evaluate_matches_manual_rollout(self):
-        ret = evaluate_constant_command(A1, 1.0, 2.5, horizon=50, seed=0)
+        ret = evaluate_constant_command(A1, 1.0, 2.5, horizon=50)
         env = QuadrupedEnv(A1)
         obs = env.reset(seed=0, initial_phases=TROT_PHASES)
         total = 0.0

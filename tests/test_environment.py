@@ -2,8 +2,9 @@ import math
 
 import pytest
 
-from quadcpg.environment import (ACTION_SIZE, OBSERVATION_SIZE, KinematicBackend,
-                                 QuadrupedEnv, build_observation, compute_reward)
+from quadcpg import environment
+from quadcpg.environment import (ACTION_SIZE, OBSERVATION_SIZE, QuadrupedEnv,
+                                 build_observation, compute_reward)
 from quadcpg.oscillator import TROT_PHASES, InvalidCommandError
 from quadcpg.registry import builtin_registry
 
@@ -97,6 +98,22 @@ class TestStep:
     def test_step_before_reset_rejected(self):
         with pytest.raises(RuntimeError):
             make_env().step(TROT_ACTION)
+
+    def test_step_after_done_rejected_until_reset(self, monkeypatch):
+        # the kinematic backend holds the nominal height, so a fall threshold
+        # above it ends every episode after its first step
+        monkeypatch.setattr(environment, "MIN_HEIGHT_FRAC", 1.5)
+        env = make_env()
+        first = env.reset(seed=0)
+        _, _, done, info = env.step(TROT_ACTION)
+        assert done and info["fell"]
+        x = env.backend.base_pos
+        with pytest.raises(RuntimeError, match="done"):
+            env.step(TROT_ACTION)
+        assert env.backend.base_pos == x
+        assert env.reset(seed=0) == first
+        assert not env.done
+        assert env.step(TROT_ACTION)[2]
 
     def test_workspace_fallback_flagged_not_fatal(self):
         env = make_env()
@@ -195,22 +212,21 @@ class TestComputeReward:
 
 class TestKinematicBackend:
     def test_static_feet_zero_velocity(self):
-        backend = KinematicBackend(A1)
-        env = QuadrupedEnv(A1, backend=backend)
+        env = QuadrupedEnv(A1)
         env.reset(seed=0)
+        backend = env.backend
         q_hold = [list(q) for q in backend.joint_positions]
         for _ in range(100):
-            backend.advance(q_hold, 1e-3)
+            backend.advance(q_hold)
         assert backend.base_lin_vel[0] == pytest.approx(0.0, abs=1e-12)
         assert backend.base_pos[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_height_servoed_to_nominal(self):
-        backend = KinematicBackend(A1)
-        env = QuadrupedEnv(A1, backend=backend)
+        env = QuadrupedEnv(A1)
         env.reset(seed=0)
         for _ in range(500):
             env.step(TROT_ACTION)
-        assert backend.base_pos[2] == pytest.approx(A1.height_nominal, abs=1e-6)
+        assert env.backend.base_pos[2] == pytest.approx(A1.height_nominal, abs=1e-6)
 
     def test_displacement_per_cycle(self):
         # one full trot cycle sweeps ~4 * L_step * r forward

@@ -1,13 +1,16 @@
+import csv
+import io
 import json
 import math
 
 import pytest
 
 from quadcpg.controllers import open_loop_trot
+from quadcpg.oscillator import MU_MAX, MU_MIN, OMEGA_MAX_HZ, OMEGA_MIN_HZ
 from quadcpg.registry import builtin_registry
 from quadcpg.rollout import (read_record_csv, record_columns,
                              run_open_loop_trajectory, run_rollout,
-                             trajectory_columns, write_record_csv,
+                             trajectory_columns, write_csv, write_record_csv,
                              write_record_manifest)
 
 REG = builtin_registry()
@@ -106,7 +109,41 @@ class TestRunRollout:
         assert len(m["config_hash"]) == 64
 
 
+class TestCommandBox:
+    @pytest.mark.parametrize("mu, omega", [
+        (10.0, 2.5), (-3.0, -1.0), (1.0, -1.0), (1.0, 5.5), (math.nan, 2.5),
+        (1.0, math.nan), (math.inf, 2.5)])
+    def test_trajectory_rejects_out_of_box_and_nan(self, mu, omega):
+        with pytest.raises(ValueError, match="outside"):
+            run_open_loop_trajectory(A1, mu, omega, 1.0)
+
+    def test_box_edges_accepted(self):
+        for mu, omega in [(MU_MIN, OMEGA_MIN_HZ), (MU_MAX, OMEGA_MAX_HZ)]:
+            assert len(run_open_loop_trajectory(A1, mu, omega, 0.1)[1]) == 10
+
+
+class TestSeed:
+    def test_rollout_depends_on_seed_only_through_its_label(self):
+        a = run_rollout(A1, open_loop_trot(1.0, 2.5), 0.5, seed=0)
+        b = run_rollout(A1, open_loop_trot(1.0, 2.5), 0.5, seed=123456)
+        assert a.rows == b.rows
+        assert (a.seed, b.seed) == (0, 123456)
+
+
 class TestCsvRoundTrip:
+    def test_write_csv_bytes_match_csv_module(self, tmp_path):
+        columns = ["t", "a", "b"]
+        rows = [[0.01, math.nan, math.inf], [-math.inf, -0.0, 5e-324],
+                [1e300, -1e-300, 0.1 + 0.2], [1.0, 0.0, 12345678901234567.0]]
+        path = tmp_path / "t.csv"
+        write_csv(columns, rows, str(path))
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([repr(v) for v in row])
+        assert path.read_bytes() == expected.getvalue().encode()
+
     def test_write_read_identity(self, tmp_path):
         record = run_rollout(A1, open_loop_trot(1.0, 2.5), duration=0.5, seed=0)
         path = tmp_path / "rollout.csv"
