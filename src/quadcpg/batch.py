@@ -6,7 +6,8 @@ and (N, 4, dof) arrays does the scalar code's IEEE operations in its order.
 numpy supplies + - * /, sqrt, comparisons, where, minimum/maximum, abs, %
 and sin/cos (equal to `math`'s); acos, atan2 and hypot, whose last bit
 differs in numpy, go element by element through `math`; sums run joint by
-joint and leg by leg, never pairwise.  numpy's per-call overhead is paid
+joint and leg by leg, never pairwise, the power term through the scalar
+reward's own `environment.sum_in_order`.  numpy's per-call overhead is paid
 per layer, not per element, so the kernel pays off only over many lanes:
 the scalar `QuadrupedEnv` stays the single-env path and the oracle.
 """
@@ -20,10 +21,11 @@ from typing import Iterable, List, Tuple
 import numpy as np
 
 from .environment import (CONTACT_TOL, N_SUBSTEPS, W_FORWARD, W_ORIENTATION, W_POWER,
-                          QuadrupedEnv)
+                          QuadrupedEnv, sum_in_order)
 from .foot_trajectory import leg_pf_params
 from .kinematics import _CLAMP_TOL, ELBOW_DOWN, FOOT_COUPLING_RATIO
-from .oscillator import ALPHA, DT_INTEGRATION, TROT_PHASES, TWO_PI, clamp_command
+from .oscillator import (ALPHA, AMPLITUDE_GAIN, DT_INTEGRATION, TROT_PHASES, TWO_PI,
+                         clamp_command)
 from .registry import RobotDescriptor
 
 #: Lanes stepped together.  Past about a thousand lanes numpy's per-call
@@ -130,11 +132,16 @@ class _Legs:
         return -sx + self.hip_x, z + self.hip_z
 
 
+def check_horizon(horizon: int) -> None:
+    """The episode-length rule of evaluate_batch and evaluate_constant_command."""
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+
+
 def evaluate_batch(robot: RobotDescriptor, commands: Iterable[Tuple[float, float]],
                    horizon: int) -> List[float]:
     """evaluate_constant_command of every (mu, omega), LANES_PER_CHUNK at a time."""
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    check_horizon(horizon)
     env = QuadrupedEnv(robot)
     env.reset(initial_phases=TROT_PHASES)
     legs = _Legs(robot)
@@ -162,9 +169,8 @@ def _episodes(env: QuadrupedEnv, legs: _Legs, commands, horizon: int) -> List[fl
     bx, _, bz = (np.full(n, v) for v in backend.base_pos)
     vx = np.full(n, backend.base_lin_vel[0])
 
-    # the constants of step_oscillator; the rest are the env's and backend's own
-    dt = DT_INTEGRATION
-    gain = ALPHA * ALPHA / 4.0
+    # step_oscillator's constants, then the backend's and env's own
+    dt, gain = DT_INTEGRATION, AMPLITUDE_GAIN
     lag, servo = backend.lag_factor, backend.servo_factor
     orientation = W_ORIENTATION * 0.0   # the kinematic backend keeps the base flat
 
@@ -201,9 +207,8 @@ def _episodes(env: QuadrupedEnv, legs: _Legs, commands, horizon: int) -> List[fl
             bz = bz + (robot.height_nominal - bz) * servo
 
         forward = W_FORWARD * np.minimum(bx - x0, env.d_max)
-        power = 0   # compute_reward's sum(): the same start and joint order
-        for i, j in np.ndindex(4, legs.dof):
-            power = power + trq[:, i, j] * (qd[:, i, j] - prev_qd[:, i, j])
+        power = sum_in_order(trq[:, i, j] * (qd[:, i, j] - prev_qd[:, i, j])
+                             for i, j in np.ndindex(4, legs.dof))
         prev_qd = qd
         reward = forward + orientation + W_POWER * np.abs(power)
         total = np.where(alive, total + reward, total)

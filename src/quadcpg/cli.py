@@ -34,9 +34,9 @@ def _registry(args) -> Registry:
         raise CliError(f"registry error: {exc}", EXIT_CONFIG) from None
 
 
-def _robot(args, registry: Registry):
+def _robot(args):
     try:
-        return registry.get(args.robot)
+        return _registry(args).get(args.robot)
     except UnknownRobotError as exc:
         raise CliError(str(exc.args[0]), EXIT_CONFIG) from None
 
@@ -54,8 +54,7 @@ def cmd_robots(args) -> int:
 
 
 def cmd_traj(args) -> int:
-    registry = _registry(args)
-    robot = _robot(args, registry)
+    robot = _robot(args)
     try:
         columns, rows = rollout.run_open_loop_trajectory(
             robot, args.mu, args.omega, args.duration)
@@ -67,8 +66,7 @@ def cmd_traj(args) -> int:
 
 
 def cmd_rollout(args) -> int:
-    registry = _registry(args)
-    robot = _robot(args, registry)
+    robot = _robot(args)
     try:
         policy = controllers.open_loop_trot(args.mu, args.omega)
         record = rollout.run_rollout(robot, policy, args.duration, seed=args.seed)
@@ -90,8 +88,7 @@ def cmd_rollout(args) -> int:
 
 
 def cmd_search(args) -> int:
-    registry = _registry(args)
-    robot = _robot(args, registry)
+    robot = _robot(args)
     try:
         result = controllers.search_constant_command(
             robot, args.budget, seed=args.seed, horizon=args.horizon)

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import List, Protocol, Sequence, Tuple
 
-from .batch import evaluate_batch
+from .batch import check_horizon, evaluate_batch
 from .environment import QuadrupedEnv
 from .oscillator import (MU_MAX, MU_MIN, OMEGA_MAX_HZ, OMEGA_MIN_HZ, TROT_PHASES,
                          check_command_box)
@@ -56,7 +56,8 @@ def open_loop_trot(mu: float, omega: float) -> ConstantCommandPolicy:
 
 def evaluate_constant_command(robot: RobotDescriptor, mu: float, omega: float,
                               horizon: int) -> float:
-    """Episodic return of a constant command over `horizon` control steps."""
+    """Episodic return of a constant command over `horizon` (>= 1) control steps."""
+    check_horizon(horizon)
     env = QuadrupedEnv(robot)
     obs = env.reset(initial_phases=TROT_PHASES)
     action = (mu,) * 4 + (omega,) * 4

@@ -4,7 +4,9 @@ Each control step clamps the 8-D command, then runs ten inner substeps.
 Every substep advances the four oscillators, maps them to task-space
 foot targets, solves the analytical IK and hands the desired joint
 positions to the kinematic backend.  The reward is computed once per
-control step from the accumulated forward progress.
+control step from the accumulated forward progress; its sums, like every
+sum `batch.py` and the rollout manifest must match bit for bit, go through
+`sum_in_order`, never the builtin `sum()`.
 
 The observation is a fixed 49-vector for every robot, regardless of DoF
 count and morphology:
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Tuple
+from typing import Iterable, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -66,6 +68,15 @@ HEIGHT_SERVO_TAU = 0.05
 CONTACT_TOL = 1e-9
 
 
+def sum_in_order(terms: Iterable):
+    """0 + terms[0] + terms[1] + ... left to right: `sum()` as Python 3.11 rounds
+    it.  From 3.12 the builtin compensates float sums (Neumaier summation)."""
+    total = 0
+    for term in terms:
+        total = total + term
+    return total
+
+
 class RewardTerms(NamedTuple):
     """Weighted reward contributions; total is their exact sum."""
 
@@ -92,8 +103,9 @@ def compute_reward(f_x: float, d_max: float, o_base: Sequence[float],
             f"dimension mismatch: tau {len(tau)}, qdot_t {len(qdot_t)}, "
             f"qdot_prev {len(qdot_prev)}")
     forward = W_FORWARD * min(f_x, d_max)
-    orientation = W_ORIENTATION * math.sqrt(sum(o * o for o in o_base))
-    power = W_POWER * abs(sum(t * (a - b) for t, a, b in zip(tau, qdot_t, qdot_prev)))
+    orientation = W_ORIENTATION * math.sqrt(sum_in_order(o * o for o in o_base))
+    power = W_POWER * abs(sum_in_order(
+        t * (a - b) for t, a, b in zip(tau, qdot_t, qdot_prev)))
     return RewardTerms(forward, orientation, power, forward + orientation + power)
 
 
@@ -237,14 +249,12 @@ class QuadrupedEnv:
     def __init__(self, robot: RobotDescriptor):
         self.robot = robot
         self.backend = KinematicBackend(robot)
-        self.control_dt = CONTROL_DT
         self.d_max = V_CAP * CONTROL_DT
         self.min_height = MIN_HEIGHT_FRAC * robot.height_nominal
         self.n_substeps = N_SUBSTEPS
         self._pf = leg_pf_params(robot)
         self._solvers = tuple(
             _solve_3dof if leg.dof == 3 else _solve_4dof for leg in robot.legs)
-        self._n_joints = robot.dof_total
         self._cpg = None
         self.time = 0.0
         self.done = False
@@ -263,13 +273,14 @@ class QuadrupedEnv:
             q0.append(list(q))
         self.backend.reset(q0)
         self._prev_action = (0.0,) * ACTION_SIZE
-        self._prev_qdot = [0.0] * self._n_joints
+        self._prev_qdot = [0.0] * robot.dof_total
         self.time = 0.0
         self.done = False
         return build_observation(robot, self.backend, self._cpg, self._prev_action)
 
     def step(self, action: Sequence[float]):
-        """Apply one 100 Hz command; returns (obs, reward, done, info)."""
+        """Apply one 100 Hz command; returns (obs, reward, done, info), with
+        info's keys terms, command, foot_targets and workspace_violations."""
         if self._cpg is None:
             raise RuntimeError("environment must be reset before stepping")
         if self.done:
@@ -306,12 +317,11 @@ class QuadrupedEnv:
                                self._prev_qdot)
         self._prev_qdot = qdot
         self._prev_action = mu + omega
-        self.time += self.control_dt
+        self.time += CONTROL_DT
 
         roll, pitch, _ = backend.base_rpy
-        fell = (abs(roll) > FALL_ANGLE_LIMIT or abs(pitch) > FALL_ANGLE_LIMIT
-                or backend.base_pos[2] < self.min_height)
-        self.done = fell
+        self.done = (abs(roll) > FALL_ANGLE_LIMIT or abs(pitch) > FALL_ANGLE_LIMIT
+                     or backend.base_pos[2] < self.min_height)
 
         obs = build_observation(self.robot, backend, cpg, self._prev_action)
         info = {
@@ -319,8 +329,6 @@ class QuadrupedEnv:
             "workspace_violations": workspace_violations,
             "foot_targets": tuple(targets),
             "command": cmd,
-            "time": self.time,
-            "fell": fell,
         }
         return obs, terms.total, self.done, info
 

@@ -90,7 +90,10 @@ class LegGeometry:
 
     @property
     def max_reach(self) -> float:
-        return sum(self.link_lengths)
+        reach = 0.0   # in order, not sum(): see environment.sum_in_order
+        for link in self.link_lengths:
+            reach += link
+        return reach
 
 
 def fk_leg(geom: LegGeometry, q: Sequence[float]) -> FootTarget:

@@ -27,6 +27,9 @@ TWO_PI = 2.0 * math.pi
 MU_MIN, MU_MAX = 0.5, 4.0
 OMEGA_MIN_HZ, OMEGA_MAX_HZ = 0.0, 5.0
 
+#: Limb order of every per-limb tuple, column suffix and leg index.
+LIMBS = ("fr", "fl", "rr", "rl")
+
 #: Trot phase offsets for limbs (FR, FL, RR, RL): diagonal pairs in phase.
 TROT_PHASES = (0.0, math.pi, math.pi, 0.0)
 
@@ -60,9 +63,11 @@ class CpgCommand(NamedTuple):
 
 
 #: Rhythm-generator constants, fixed by the method for every robot:
-#: amplitude convergence factor (1/s) and the Heun integration step (s).
+#: amplitude convergence factor (1/s), the Heun integration step (s) and
+#: the amplitude equation's stiffness alpha**2 / 4 (1/s**2).
 ALPHA = 50.0
 DT_INTEGRATION = 1e-3
+AMPLITUDE_GAIN = ALPHA * ALPHA / 4.0
 
 
 @dataclass(frozen=True)
@@ -93,9 +98,7 @@ def step_oscillator(state: OscillatorState, mu: float,
     if not (math.isfinite(mu) and math.isfinite(omega_hz)):
         raise InvalidCommandError(f"non-finite command mu={mu!r} omega={omega_hz!r}")
 
-    alpha = ALPHA
-    gain = alpha * alpha / 4.0
-    dt = DT_INTEGRATION
+    alpha, gain, dt = ALPHA, AMPLITUDE_GAIN, DT_INTEGRATION
     theta_dot = TWO_PI * omega_hz
 
     k1_r = r_dot

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-_LIMBS = ("fr", "fl", "rr", "rl")
+from .oscillator import LIMBS
+
 _COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728")
 
 _WIDTH = 860
@@ -84,11 +85,11 @@ def render_rollout_svg(columns: Sequence[str], rows) -> str:
         raise RecordFormatError("record contains no data rows")
     t = _column(columns, rows, "t")
     vx = _column(columns, rows, "vx")
-    omegas = [_column(columns, rows, f"omega_{l}") for l in _LIMBS]
-    rs = [_column(columns, rows, f"r_{l}") for l in _LIMBS]
+    omegas = [_column(columns, rows, f"omega_{l}") for l in LIMBS]
+    rs = [_column(columns, rows, f"r_{l}") for l in LIMBS]
 
     height = _MARGIN_T + 3 * _PANEL_H + 3 * _GAP
-    limb_labels = [l.upper() for l in _LIMBS]
+    limb_labels = [l.upper() for l in LIMBS]
     panels = [
         _panel("panel-velocity", "Base forward velocity [m/s]", t, [vx],
                ["vx"], _MARGIN_T),

@@ -40,6 +40,7 @@ import yaml
 
 from .foot_trajectory import PfParams
 from .kinematics import ELBOW_DOWN, ELBOW_UP, LegGeometry
+from .oscillator import LIMBS
 
 MORPH_ELBOW_UP_ALL = "elbow_up_all"
 MORPH_MIXED = "elbow_up_front_down_hind"
@@ -166,10 +167,13 @@ def default_legs(height_m: float, dof_total: int, morphology: str,
         # the sign comes from the side; a negative offset would cross the legs
         raise ValueError(f"y_nominal must be finite and >= 0, got {y_nominal}")
 
+    if len(hip_offsets) != len(LIMBS):
+        raise ValueError(f"expected 4 hip offsets (FR, FL, RR, RL), got {len(hip_offsets)}")
+
     legs = []
-    for i, hip in enumerate(hip_offsets):
-        is_left = i in (1, 3)   # FR, FL, RR, RL
-        is_front = i in (0, 1)
+    for limb, hip in zip(LIMBS, hip_offsets):
+        is_left = limb.endswith("l")
+        is_front = limb.startswith("f")
         if morphology == MORPH_MIXED and not is_front:
             knee = ELBOW_DOWN
         else:

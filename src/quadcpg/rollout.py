@@ -1,17 +1,9 @@
 """Rollout execution and record export (CSV time series + JSON manifest).
 
-CSV schema v1, one row per 100 Hz control step, columns in this fixed
-order (limb suffixes fr, fl, rr, rl):
-
-    t,
-    base_x, base_y, base_z, roll, pitch, yaw, vx, vy, vz,
-    r_*, theta_*, mu_*, omega_*,
-    foot_x_*, foot_y_*, foot_z_*,          (commanded targets, hip frame)
-    contact_*,
-    reward_forward, reward_orientation, reward_power, reward_total
-
-Floats are written with repr (shortest round-trip form), so identical
-rollouts serialize byte-identically.
+CSV schema v1: one row per 100 Hz control step, in the column order of
+`record_columns()`; limb suffixes follow `oscillator.LIMBS`, and foot_*
+are the commanded targets in the hip frame.  Floats are written with repr
+(shortest round-trip form), so identical rollouts serialize byte-identically.
 """
 
 from __future__ import annotations
@@ -20,41 +12,39 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from .environment import CONTROL_DT, N_SUBSTEPS, QuadrupedEnv
+from .environment import CONTROL_DT, N_SUBSTEPS, QuadrupedEnv, sum_in_order
 from .foot_trajectory import leg_pf_params
-from .oscillator import ALPHA, DT_INTEGRATION, TROT_PHASES, check_command_box, init_cpg
+from .oscillator import (ALPHA, DT_INTEGRATION, LIMBS, TROT_PHASES, check_command_box,
+                         init_cpg)
 from .registry import RobotDescriptor
 
 SCHEMA_VERSION = 1
-_LIMBS = ("fr", "fl", "rr", "rl")
 
 
 def record_columns() -> List[str]:
     cols = ["t", "base_x", "base_y", "base_z", "roll", "pitch", "yaw",
             "vx", "vy", "vz"]
     for prefix in ("r", "theta", "mu", "omega"):
-        cols += [f"{prefix}_{l}" for l in _LIMBS]
-    for l in _LIMBS:
+        cols += [f"{prefix}_{l}" for l in LIMBS]
+    for l in LIMBS:
         cols += [f"foot_x_{l}", f"foot_y_{l}", f"foot_z_{l}"]
-    cols += [f"contact_{l}" for l in _LIMBS]
+    cols += [f"contact_{l}" for l in LIMBS]
     cols += ["reward_forward", "reward_orientation", "reward_power", "reward_total"]
     return cols
 
 
 @dataclass
 class RolloutRecord:
-    """Time series of one rollout plus the metadata for its manifest."""
+    """Time series of one rollout plus its manifest's metadata: `config` holds
+    all the rows depend on, `seed` is only a label."""
 
-    robot_name: str
     seed: int
-    duration: float
-    control_dt: float
     columns: List[str]
     rows: List[List[float]]
-    config: dict = field(default_factory=dict)
+    config: dict
     termination_step: Optional[int] = None
     workspace_violations: int = 0
 
@@ -63,7 +53,7 @@ class RolloutRecord:
         if not self.rows:
             return 0.0
         ix = self.columns.index("base_x")
-        return self.rows[-1][ix] / (len(self.rows) * self.control_dt)
+        return self.rows[-1][ix] / (len(self.rows) * CONTROL_DT)
 
     @property
     def mean_reward(self) -> float:
@@ -74,7 +64,7 @@ class RolloutRecord:
         if not self.rows:
             return 0.0
         ix = self.columns.index(name)
-        return sum(row[ix] for row in self.rows) / len(self.rows)
+        return sum_in_order(row[ix] for row in self.rows) / len(self.rows)
 
     def config_hash(self) -> str:
         blob = json.dumps(self.config, sort_keys=True).encode()
@@ -83,10 +73,10 @@ class RolloutRecord:
     def manifest(self) -> dict:
         return {
             "schema_version": SCHEMA_VERSION,
-            "robot": self.robot_name,
+            "robot": self.config["robot"],
             "seed": self.seed,
-            "duration": self.duration,
-            "control_dt": self.control_dt,
+            "duration": self.config["duration"],
+            "control_dt": CONTROL_DT,
             "config": self.config,
             "config_hash": self.config_hash(),
             "columns": self.columns,
@@ -130,22 +120,16 @@ def run_rollout(robot: RobotDescriptor, policy, duration: float,
         obs, _, done, info = env.step(action)
         violations += info["workspace_violations"]
 
-        backend_state = env.backend
-        cmd = info["command"]
-        terms = info["terms"]
+        backend = env.backend
         cpg = env.cpg_states
-        row = [env.time,
-               *backend_state.base_pos, *backend_state.base_rpy,
-               *backend_state.base_lin_vel]
+        row = [env.time, *backend.base_pos, *backend.base_rpy, *backend.base_lin_vel]
         row += [s.r for s in cpg]
         row += [s.theta for s in cpg]
-        row += list(cmd.mu)
-        row += list(cmd.omega)
+        row += info["command"].mu + info["command"].omega
         for tgt in info["foot_targets"]:
-            row += [tgt.x, tgt.y, tgt.z]
-        row += [1.0 if c else 0.0 for c in backend_state.foot_contacts]
-        row += [terms.forward_progress, terms.orientation_penalty,
-                terms.power_penalty, terms.total]
+            row += tgt
+        row += [1.0 if c else 0.0 for c in backend.foot_contacts]
+        row += info["terms"]   # forward, orientation, power, total
         rows.append(row)
         if done:
             termination_step = k + 1
@@ -153,27 +137,21 @@ def run_rollout(robot: RobotDescriptor, policy, duration: float,
 
     config = {
         "robot": robot.name,
-        "seed": seed,
         "duration": duration,
-        "control_dt": env.control_dt,
+        "control_dt": CONTROL_DT,
         "alpha": ALPHA,
         "dt_integration": DT_INTEGRATION,
         "initial_phases": list(phases),
     }
     return RolloutRecord(
-        robot_name=robot.name, seed=seed, duration=duration,
-        control_dt=env.control_dt, columns=columns, rows=rows,
-        config=config, termination_step=termination_step,
-        workspace_violations=violations)
+        seed=seed, columns=columns, rows=rows, config=config,
+        termination_step=termination_step, workspace_violations=violations)
 
 
 def trajectory_columns() -> List[str]:
-    cols = ["t"]
-    for prefix in ("r", "theta"):
-        cols += [f"{prefix}_{l}" for l in _LIMBS]
-    for l in _LIMBS:
-        cols += [f"foot_x_{l}", f"foot_y_{l}", f"foot_z_{l}"]
-    return cols
+    """The record columns an open-loop trajectory has, in record order."""
+    return [c for c in record_columns()
+            if c == "t" or c.startswith(("r_", "theta_", "foot_"))]
 
 
 def run_open_loop_trajectory(robot: RobotDescriptor, mu: float, omega: float,
@@ -202,8 +180,7 @@ def run_open_loop_trajectory(robot: RobotDescriptor, mu: float, omega: float,
         row += [s.r for s in cpg]
         row += [s.theta for s in cpg]
         for i in range(4):
-            tgt = foot_target(cpg[i], pf[i])
-            row += [tgt.x, tgt.y, tgt.z]
+            row += foot_target(cpg[i], pf[i])
         rows.append(row)
     return trajectory_columns(), rows
 

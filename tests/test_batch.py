@@ -97,9 +97,13 @@ def test_termination_is_sticky_and_matches_scalar(monkeypatch):
 
 
 @pytest.mark.parametrize("horizon", [0, -5])
-def test_horizon_below_one_raises(horizon):
-    with pytest.raises(ValueError, match="horizon"):
-        evaluate_batch(REG.get("A1"), [(1.0, 2.5)], horizon)
+@pytest.mark.parametrize("evaluate", [
+    lambda robot, horizon: evaluate_batch(robot, [(1.0, 2.5)], horizon),
+    lambda robot, horizon: evaluate_constant_command(robot, 1.0, 2.5, horizon),
+], ids=["batch", "oracle"])
+def test_horizon_below_one_raises(evaluate, horizon):
+    with pytest.raises(ValueError, match=f"horizon must be >= 1, got {horizon}"):
+        evaluate(REG.get("A1"), horizon)
 
 
 def test_no_commands_no_returns():

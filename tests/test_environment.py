@@ -105,8 +105,8 @@ class TestStep:
         monkeypatch.setattr(environment, "MIN_HEIGHT_FRAC", 1.5)
         env = make_env()
         first = env.reset(seed=0)
-        _, _, done, info = env.step(TROT_ACTION)
-        assert done and info["fell"]
+        _, _, done, _ = env.step(TROT_ACTION)
+        assert done
         x = env.backend.base_pos
         with pytest.raises(RuntimeError, match="done"):
             env.step(TROT_ACTION)

@@ -283,6 +283,15 @@ WRONG_TYPES = [
 ]
 
 
+@pytest.mark.parametrize("count", [3, 5])
+def test_one_hip_offset_per_limb(tmp_path, count):
+    entry = copy.deepcopy(GOOD_ENTRY)
+    entry["geometry"]["hip_offsets"] = [[0.1, 0.03, 0.0]] * count
+    path = write_registry(tmp_path / "bad.yaml", entry)
+    with pytest.raises(RegistryError, match=f"BadBot: expected 4 hip offsets .*got {count}"):
+        load_registry(path)
+
+
 class TestWrongTypes:
     """A YAML value of the wrong type is a named RegistryError, not a crash."""
 

@@ -101,8 +101,9 @@ class TestRunRollout:
     def test_manifest_contents(self):
         record = run_rollout(A1, open_loop_trot(1.0, 2.5), duration=0.5, seed=7)
         m = record.manifest()
-        assert m["robot"] == "A1"
+        assert (m["robot"], m["duration"], m["control_dt"]) == ("A1", 0.5, 0.01)
         assert m["seed"] == 7
+        assert "seed" not in m["config"]
         assert m["columns"] == record.columns
         assert m["summary"]["steps"] == 50
         assert m["summary"]["termination_step"] is None
@@ -128,6 +129,7 @@ class TestSeed:
         b = run_rollout(A1, open_loop_trot(1.0, 2.5), 0.5, seed=123456)
         assert a.rows == b.rows
         assert (a.seed, b.seed) == (0, 123456)
+        assert a.config_hash() == b.config_hash()
 
 
 class TestCsvRoundTrip:

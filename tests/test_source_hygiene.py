@@ -1,4 +1,5 @@
-"""Static checks on the package source: no unused imports, a resolvable __all__.
+"""Static checks on the source: no unused imports, a resolvable __all__,
+no builtin sum(), one owner per fact, no undeclared dependency.
 
 No linter ships with the project, so the import check is done here with
 `ast`.  A name imported by a module counts as used when the module body
@@ -8,7 +9,10 @@ listed in ``__all__``.
 """
 
 import ast
+import importlib.metadata
 import pathlib
+import re
+import sys
 
 import pytest
 
@@ -16,6 +20,8 @@ import quadcpg
 
 SRC = pathlib.Path(quadcpg.__file__).parent
 MODULES = sorted(SRC.glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+TESTS = ROOT / "tests"
 
 
 def imported_names(tree):
@@ -116,3 +122,74 @@ def test_batch_guard_catches(snippet):
 
 def test_batch_guard_allows_math_and_sin_cos():
     assert batch_violations("h = math.hypot(u, v) + math.atan2(y, x) + np.sin(a)") == []
+
+
+def builtin_sum_calls(source):
+    """Lines calling the builtin sum(), whose float rounding changed in Python 3.12."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "sum"]
+
+
+def test_no_builtin_sum():
+    found = {p.name: builtin_sum_calls(p.read_text()) for p in MODULES}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_sum_guard_catches_only_the_builtin():
+    assert builtin_sum_calls("s = sum(x * x for x in v)") == [1]
+    assert builtin_sum_calls("s = sum_in_order(v) + math.fsum(v) + p.sum()") == []
+
+
+def test_each_fact_has_one_owner():
+    limb_tuples, alpha_squares, control_dt_stores = [], [], []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Tuple) and len(node.elts) == 4
+                    and all(isinstance(e, ast.Constant) for e in node.elts)
+                    and [e.value for e in node.elts] == ["fr", "fl", "rr", "rl"]):
+                limb_tuples.append(path.name)
+            elif (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                  and all(isinstance(o, ast.Name) and o.id == "ALPHA"
+                          for o in (node.left, node.right))):
+                alpha_squares.append(path.name)
+            elif (isinstance(node, ast.Attribute) and node.attr == "control_dt"
+                  and isinstance(node.ctx, ast.Store)):
+                control_dt_stores.append(path.name)
+    assert limb_tuples == ["oscillator.py"]      # LIMBS
+    assert alpha_squares == ["oscillator.py"]    # AMPLITUDE_GAIN
+    assert control_dt_stores == []               # CONTROL_DT is the control period
+
+
+def _distribution_key(name):
+    """A distribution name normalised as PEP 503 compares them."""
+    return re.sub(r"[-_.]+", "-", name).lower()
+
+
+def top_level_imports(tree):
+    """The first component of every absolute import in a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_every_import_is_stdlib_own_or_declared():
+    """`pip install -e .[test]` then `pytest` needs nothing undeclared."""
+    tomllib = pytest.importorskip("tomllib")   # Python >= 3.11
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    requirements = project.get("dependencies", []) + [
+        r for extra in project.get("optional-dependencies", {}).values() for r in extra]
+    declared = {_distribution_key(re.match(r"[A-Za-z0-9._-]+", r).group())
+                for r in requirements}
+    own = {"quadcpg"} | {p.stem for p in TESTS.glob("*.py")}
+    distributions = importlib.metadata.packages_distributions()
+    undeclared = {}
+    for path in sorted((ROOT / "src").rglob("*.py")) + sorted(TESTS.glob("*.py")):
+        for name in top_level_imports(ast.parse(path.read_text())):
+            if name in sys.stdlib_module_names or name in own:
+                continue
+            if not {_distribution_key(d) for d in distributions.get(name, [])} & declared:
+                undeclared.setdefault(name, path.relative_to(ROOT).as_posix())
+    assert undeclared == {}
