@@ -7,9 +7,12 @@ numpy supplies + - * /, sqrt, comparisons, where, minimum/maximum, abs, %
 and sin/cos (equal to `math`'s); acos, atan2 and hypot, whose last bit
 differs in numpy, go element by element through `math`; sums run joint by
 joint and leg by leg, never pairwise, the power term through the scalar
-reward's own `environment.sum_in_order`.  numpy's per-call overhead is paid
-per layer, not per element, so the kernel pays off only over many lanes:
-the scalar `QuadrupedEnv` stays the single-env path and the oracle.
+reward's own `environment.sum_in_order`, and running values (base x, the
+held stance velocity) through the strictly in-order `np.add.accumulate` and
+`np.maximum.accumulate`.  Only the recurrences -- oscillator, joint lag,
+height servo -- go substep by substep; every other stage runs once per tile
+of (substep, lane) pairs, so numpy's per-call overhead is paid per tile.
+The scalar `QuadrupedEnv` stays the closed-loop path and the oracle.
 """
 
 from __future__ import annotations
@@ -24,13 +27,13 @@ from .environment import (CONTACT_TOL, N_SUBSTEPS, W_FORWARD, W_ORIENTATION, W_P
                           QuadrupedEnv, sum_in_order)
 from .foot_trajectory import leg_pf_params
 from .kinematics import _CLAMP_TOL, ELBOW_DOWN, FOOT_COUPLING_RATIO
-from .oscillator import (ALPHA, AMPLITUDE_GAIN, DT_INTEGRATION, TROT_PHASES, TWO_PI,
-                         clamp_command)
+from .oscillator import DT_INTEGRATION, TROT_PHASES, TWO_PI, advance, clamp_command
 from .registry import RobotDescriptor
 
-#: Lanes stepped together.  Past about a thousand lanes numpy's per-call
-#: overhead is already amortised, so larger chunks only hold more memory.
-LANES_PER_CHUNK = 1024
+#: (lane, substep) pairs per tile: a tile holds as many lanes and whole
+#: control steps as fit, at least one of each, so its arrays, not the number
+#: of commands or the horizon, bound the kernel's memory.
+TILE_LANE_SUBSTEPS = 800
 
 
 def _math(fn, *arrays: np.ndarray) -> np.ndarray:
@@ -138,81 +141,109 @@ def check_horizon(horizon: int) -> None:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
 
 
+def foot_targets(robot: RobotDescriptor, r, theta) -> np.ndarray:
+    """foot_target of every leg over arrays: theta (..., 4) phases, r (...) their
+    shared amplitude; the (..., 4, 3) x, y, z targets in each leg's hip frame."""
+    pf = robot.pf
+    r, theta = np.asarray(r)[..., None], np.asarray(theta)
+    s = np.sin(theta)
+    x = pf.x_off - pf.l_step * r * np.cos(theta)
+    z = np.where(s > 0.0, pf.z_off - pf.h + pf.l_clrnc * s,
+                 pf.z_off - pf.h + pf.l_pntr * s)
+    y = np.broadcast_to([p.y_nominal for p in leg_pf_params(robot)], theta.shape)
+    return np.stack((x, y, z), axis=-1)
+
+
 def evaluate_batch(robot: RobotDescriptor, commands: Iterable[Tuple[float, float]],
                    horizon: int) -> List[float]:
-    """evaluate_constant_command of every (mu, omega), LANES_PER_CHUNK at a time."""
+    """evaluate_constant_command of every (mu, omega), tile by tile."""
     check_horizon(horizon)
     env = QuadrupedEnv(robot)
     env.reset(initial_phases=TROT_PHASES)
     legs = _Legs(robot)
     returns: List[float] = []
     lanes = iter(commands)
-    while chunk := list(islice(lanes, LANES_PER_CHUNK)):
+    while chunk := list(islice(lanes, max(1, TILE_LANE_SUBSTEPS // N_SUBSTEPS))):
         returns += _episodes(env, legs, chunk, horizon)
     return returns
 
 
 def _episodes(env: QuadrupedEnv, legs: _Legs, commands, horizon: int) -> List[float]:
-    """The returns of one chunk of episodes, from the state `env` was reset to."""
+    """The returns of one chunk of episodes, from the state `env` was reset to.
+
+    Each tile of whole control steps runs the recurrences (oscillator, joint
+    lag, height servo) substep by substep, then every later stage in one pass
+    over the tile's (substep, lane, leg[, joint]) arrays.
+    """
     cmds = [clamp_command((mu,) * 4 + (omega,) * 4) for mu, omega in commands]
     n = len(cmds)
     robot, backend, cpg = env.robot, env.backend, env.cpg_states
-    pf = robot.pf
-    y = np.array([[p.y_nominal for p in leg_pf_params(robot)]] * n)
-    mu = np.array([c.mu for c in cmds])
-    theta_dot = TWO_PI * np.array([c.omega for c in cmds])
-    r, r_dot, theta, _ = np.moveaxis(np.array([cpg] * n), -1, 0)
+    # a trot from rest: the legs share mu, omega, r and r_dot, each has its phase
+    mu = np.array([c.mu[0] for c in cmds])
+    theta_dot = TWO_PI * np.array([c.omega[0] for c in cmds])[:, None]
+    r, r_dot = np.full(n, cpg[0].r), np.full(n, cpg[0].r_dot)
+    theta = np.array([[s.theta for s in cpg]] * n)
     q = np.array([backend.joint_positions] * n, dtype=float)
-    qd = np.array([backend.joint_velocities] * n, dtype=float)
-    prev_qd = np.zeros_like(qd)
+    qd = np.zeros_like(q)   # the joint velocities the reward last saw
     fx_prev, _ = legs.feet_xz(q)
-    bx, _, bz = (np.full(n, v) for v in backend.base_pos)
+    bx, _, bz = backend.base_pos
+    bx = np.full(n, bx)
     vx = np.full(n, backend.base_lin_vel[0])
 
-    # step_oscillator's constants, then the backend's and env's own
-    dt, gain = DT_INTEGRATION, AMPLITUDE_GAIN
-    lag, servo = backend.lag_factor, backend.servo_factor
+    # the backend's and env's own constants
+    dt, lag, servo = DT_INTEGRATION, backend.lag_factor, backend.servo_factor
     orientation = W_ORIENTATION * 0.0   # the kinematic backend keeps the base flat
+    per_tile = max(1, TILE_LANE_SUBSTEPS // (n * N_SUBSTEPS))
 
     total = np.zeros(n)
-    alive = np.ones(n, dtype=bool)
-    for _ in range(horizon):
-        x0 = bx
-        for _ in range(N_SUBSTEPS):
-            k1_rd = gain * (mu - r) - ALPHA * r_dot
-            r_mid = r + dt * r_dot
-            rd_mid = r_dot + dt * k1_rd
-            k2_rd = gain * (mu - r_mid) - ALPHA * rd_mid
-            r = r + 0.5 * dt * (r_dot + rd_mid)
-            r_dot = r_dot + 0.5 * dt * (k1_rd + k2_rd)
-            theta = (theta + theta_dot * dt) % TWO_PI
-            s = np.sin(theta)
-            x = pf.x_off - pf.l_step * r * np.cos(theta)
-            z = np.where(s > 0.0, pf.z_off - pf.h + pf.l_clrnc * s,
-                         pf.z_off - pf.h + pf.l_pntr * s)
-            e = legs.ik(x, y, z) - q
-            trq = robot.kp * e - robot.kd * qd
-            dq = e * lag
-            q = q + dq
-            qd = dq / dt
-            fx, fz = legs.feet_xz(q)
-            contact = bz[:, None] + fz <= CONTACT_TOL
-            sx = np.zeros(n)
-            for i in range(4):
-                sx = np.where(contact[:, i], sx + (fx[:, i] - fx_prev[:, i]), sx)
-            fx_prev = fx
-            n_stance = np.count_nonzero(contact, axis=1)
-            vx = np.where(n_stance > 0, -sx / (np.maximum(n_stance, 1) * dt), vx)
-            bx = bx + vx * dt
+    for first in range(0, horizon, per_tile):
+        n_steps = min(per_tile, horizon - first)
+        t = n_steps * N_SUBSTEPS
+        rs, thetas = np.empty((t, n)), np.empty((t, n, 4))
+        for k in range(t):
+            r, r_dot, theta = advance(r, r_dot, mu, theta_dot, theta)
+            rs[k], thetas[k] = r, theta
+        des = legs.ik(*np.moveaxis(foot_targets(robot, rs, thetas), -1, 0))
+        e, qs = np.empty_like(des), np.empty_like(des)
+        for k in range(t):
+            e[k] = des[k] - q
+            q = qs[k] = q + e[k] * lag
+        bzs = [bz]   # the height servo depends on no lane: one sequence serves all
+        for _ in range(t):
             bz = bz + (robot.height_nominal - bz) * servo
+            bzs.append(bz)
 
-        forward = W_FORWARD * np.minimum(bx - x0, env.d_max)
-        power = sum_in_order(trq[:, i, j] * (qd[:, i, j] - prev_qd[:, i, j])
+        fx, fz = legs.feet_xz(qs)
+        contact = np.array(bzs[:-1])[:, None, None] + fz <= CONTACT_TOL
+        step_x = fx - np.concatenate((fx_prev[None], fx[:-1]))
+        fx_prev = fx[-1]
+        sx = np.zeros((t, n))
+        for i in range(4):
+            sx = np.where(contact[..., i], sx + step_x[..., i], sx)
+        n_stance = np.count_nonzero(contact, axis=-1)
+        v = -sx / (np.maximum(n_stance, 1) * dt)
+        # with no stance foot vx is held: the latest stance substep's, else the carried
+        latest = np.maximum.accumulate(np.where(n_stance > 0, np.arange(t)[:, None], -1))
+        held = np.take_along_axis(v, np.maximum(latest, 0), axis=0)
+        vxs = np.where(latest >= 0, held, vx)
+        vx = vxs[-1]
+        xs = np.add.accumulate(np.concatenate((bx[None], vxs * dt)))   # in order
+        bx = xs[-1]
+
+        forward = W_FORWARD * np.minimum(xs[N_SUBSTEPS::N_SUBSTEPS] - xs[:-1:N_SUBSTEPS],
+                                         env.d_max)
+        # the power term reads each step's last torques and joint velocities
+        qds = e * lag / dt
+        ends = slice(N_SUBSTEPS - 1, None, N_SUBSTEPS)
+        trq = robot.kp * e[ends] - robot.kd * qds[N_SUBSTEPS - 2::N_SUBSTEPS]
+        qd_end = qds[ends]
+        qd_prev = np.concatenate((qd[None], qd_end[:-1]))
+        qd = qd_end[-1]
+        power = sum_in_order(trq[..., i, j] * (qd_end[..., i, j] - qd_prev[..., i, j])
                              for i, j in np.ndindex(4, legs.dof))
-        prev_qd = qd
         reward = forward + orientation + W_POWER * np.abs(power)
-        total = np.where(alive, total + reward, total)
-        alive &= ~(bz < env.min_height)
-        if not alive.any():
-            break
+        for k in range(n_steps):
+            total = total + reward[k]
+            if bzs[(k + 1) * N_SUBSTEPS] < env.min_height:
+                return total.tolist()
     return total.tolist()

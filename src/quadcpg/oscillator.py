@@ -78,40 +78,44 @@ class CpgConfig:
     dt_integration: float = field(default=DT_INTEGRATION, init=False)
 
 
-def step_oscillator(state: OscillatorState, mu: float,
-                    omega_hz: float) -> OscillatorState:
-    """Advance one oscillator by one step of DT_INTEGRATION.
+def advance(r, r_dot, mu, theta_dot, *thetas):
+    """One step of DT_INTEGRATION: [r, r_dot, *thetas] after it.
 
     The amplitude equation uses one explicit Heun (trapezoidal) step:
     plain first-order Euler at the 1 kHz rate misses the closed-form
     solution by ~4e-3 relative, more than the 1e-3 accuracy budget at
-    the top of the amplitude range.  The phase advances linearly (exact
-    for a constant command).
+    the top of the amplitude range.  Each phase advances linearly at
+    theta_dot rad/s (exact for a constant command) and is wrapped to
+    [0, 2*pi).  Limbs with one amplitude command and one start share r,
+    so one call advances them all.  Works alike on floats and numpy arrays.
+    """
+    gain, dt = AMPLITUDE_GAIN, DT_INTEGRATION
+    k1_rd = gain * (mu - r) - ALPHA * r_dot
+    r_mid = r + dt * r_dot
+    rd_mid = r_dot + dt * k1_rd
+    k2_rd = gain * (mu - r_mid) - ALPHA * rd_mid
+    step = theta_dot * dt
+    out = [r + 0.5 * dt * (r_dot + rd_mid), r_dot + 0.5 * dt * (k1_rd + k2_rd)]
+    for theta in thetas:   # a loop, not a comprehension: cheaper per call on 3.11
+        out.append((theta + step) % TWO_PI)
+    return out
 
-    `mu` and `omega_hz` are assumed already clamped; the phase is
-    wrapped to [0, 2*pi) after the step and theta_dot holds the applied
-    rad/s rate.
+
+def step_oscillator(state: OscillatorState, mu: float,
+                    omega_hz: float) -> OscillatorState:
+    """Advance one oscillator by one step of DT_INTEGRATION (see `advance`).
+
+    `mu` and `omega_hz` are assumed already clamped; theta_dot holds the
+    applied rad/s rate.
     """
     r, r_dot, theta, _ = state
     if not (math.isfinite(r) and math.isfinite(r_dot) and math.isfinite(theta)):
         raise InvalidCommandError(f"non-finite oscillator state {state!r}")
     if not (math.isfinite(mu) and math.isfinite(omega_hz)):
         raise InvalidCommandError(f"non-finite command mu={mu!r} omega={omega_hz!r}")
-
-    alpha, gain, dt = ALPHA, AMPLITUDE_GAIN, DT_INTEGRATION
     theta_dot = TWO_PI * omega_hz
-
-    k1_r = r_dot
-    k1_rd = gain * (mu - r) - alpha * r_dot
-    r_mid = r + dt * k1_r
-    rd_mid = r_dot + dt * k1_rd
-    k2_r = rd_mid
-    k2_rd = gain * (mu - r_mid) - alpha * rd_mid
-
-    r_new = r + 0.5 * dt * (k1_r + k2_r)
-    r_dot_new = r_dot + 0.5 * dt * (k1_rd + k2_rd)
-    theta_new = (theta + theta_dot * dt) % TWO_PI
-    return OscillatorState(r_new, r_dot_new, theta_new, theta_dot)
+    r, r_dot, theta = advance(r, r_dot, mu, theta_dot, theta)
+    return OscillatorState(r, r_dot, theta, theta_dot)
 
 
 def clamp_command(raw: Sequence[float]) -> CpgCommand:
@@ -136,7 +140,7 @@ def closed_form_amplitude(mu: float, alpha: float, r0: float, r0_dot: float,
 
     r(t) = mu + (A + B*t) * exp(-(alpha/2) * t) with A = r0 - mu and
     B = r0_dot + (alpha/2) * (r0 - mu).  Serves as the independent oracle
-    for the Heun integration in step_oscillator.
+    for the Heun integration in `advance`.
     """
     if alpha <= 0.0 or not math.isfinite(alpha):
         raise ValueError(f"alpha must be positive, got {alpha}")

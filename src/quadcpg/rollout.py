@@ -15,10 +15,10 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+from .batch import foot_targets
 from .environment import CONTROL_DT, N_SUBSTEPS, QuadrupedEnv, sum_in_order
-from .foot_trajectory import leg_pf_params
-from .oscillator import (ALPHA, DT_INTEGRATION, LIMBS, TROT_PHASES, check_command_box,
-                         init_cpg)
+from .oscillator import (ALPHA, DT_INTEGRATION, LIMBS, TROT_PHASES, TWO_PI, advance,
+                         check_command_box, init_cpg)
 from .registry import RobotDescriptor
 
 SCHEMA_VERSION = 1
@@ -162,26 +162,23 @@ def run_open_loop_trajectory(robot: RobotDescriptor, mu: float, omega: float,
     and are sampled once per control period.  A command outside the
     command box raises ValueError.  Returns (columns, rows).
     """
-    # looked up at call time, so replacements patched onto these modules see every call
-    from .foot_trajectory import foot_target
-    from .oscillator import step_oscillator
-
     check_command_box(mu, omega)
     n_samples = _control_periods(duration)
+    # the legs share r and r_dot (one mu, all at rest), each has its phase; the
+    # recurrence runs on floats, pattern formation over all samples at once
     cpg = init_cpg(TROT_PHASES)
-    pf = leg_pf_params(robot)
-
-    rows = []
-    for k in range(n_samples):
+    r, r_dot = cpg[0].r, cpg[0].r_dot
+    fr, fl, rr, rl = (s.theta for s in cpg)
+    theta_dot = TWO_PI * omega
+    amplitudes, phases = [], []
+    for _ in range(n_samples):
         for _ in range(N_SUBSTEPS):
-            for i in range(4):
-                cpg[i] = step_oscillator(cpg[i], mu, omega)
-        row = [(k + 1) * CONTROL_DT]
-        row += [s.r for s in cpg]
-        row += [s.theta for s in cpg]
-        for i in range(4):
-            row += foot_target(cpg[i], pf[i])
-        rows.append(row)
+            r, r_dot, fr, fl, rr, rl = advance(r, r_dot, mu, theta_dot, fr, fl, rr, rl)
+        amplitudes.append(r)
+        phases.append((fr, fl, rr, rl))
+    feet = foot_targets(robot, amplitudes, phases).reshape(n_samples, -1).tolist()
+    rows = [[(k + 1) * CONTROL_DT, r, r, r, r, *thetas, *targets]
+            for k, (r, thetas, targets) in enumerate(zip(amplitudes, phases, feet))]
     return trajectory_columns(), rows
 
 

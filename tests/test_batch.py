@@ -6,13 +6,17 @@ with ==, not within a tolerance.
 """
 
 import random
+import tracemalloc
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadcpg import batch, environment
 from quadcpg.batch import evaluate_batch
 from quadcpg.controllers import evaluate_constant_command, search_constant_command
-from quadcpg.environment import QuadrupedEnv
+from quadcpg.environment import N_SUBSTEPS, QuadrupedEnv
 from quadcpg.oscillator import (MU_MAX, MU_MIN, OMEGA_MAX_HZ, OMEGA_MIN_HZ,
                                 TROT_PHASES)
 from quadcpg.registry import builtin_registry
@@ -64,7 +68,7 @@ def test_lanes_are_independent():
 
 def test_chunk_boundaries_equal_scalar():
     robot = REG.get("Dog3")
-    chunk = batch.LANES_PER_CHUNK
+    chunk = batch.TILE_LANE_SUBSTEPS // N_SUBSTEPS   # lanes of one tile
     n, horizon = 2 * chunk + 5, 4
     rng = random.Random(3)
     commands = [(rng.uniform(MU_MIN, MU_MAX), rng.uniform(OMEGA_MIN_HZ, OMEGA_MAX_HZ))
@@ -79,7 +83,7 @@ def test_chunk_boundaries_equal_scalar():
 
 
 def test_every_lane_of_small_chunks_equals_scalar(monkeypatch):
-    monkeypatch.setattr(batch, "LANES_PER_CHUNK", 3)
+    monkeypatch.setattr(batch, "TILE_LANE_SUBSTEPS", 3 * N_SUBSTEPS)
     robot = REG.get("A1")
     commands = CORNERS + OUT_OF_BOX   # three chunks, the last one partial
     assert evaluate_batch(robot, commands, HORIZON) == scalar_returns(robot, commands)
@@ -94,6 +98,54 @@ def test_termination_is_sticky_and_matches_scalar(monkeypatch):
     got = evaluate_batch(robot, commands, HORIZON)
     assert got == scalar_returns(robot, commands)
     assert got == evaluate_batch(robot, commands, 1)
+
+
+#: Four lanes of three control steps per tile.
+SMALL_TILE = 4 * 3 * N_SUBSTEPS
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 3, 4, 5, 6, 7])
+def test_horizons_around_tile_boundaries_equal_scalar(monkeypatch, horizon):
+    monkeypatch.setattr(batch, "TILE_LANE_SUBSTEPS", SMALL_TILE)
+    robot = REG.get("Dog3")
+    commands = CORNERS   # four lanes: tiles end after steps 3 and 6
+    got = evaluate_batch(robot, commands, horizon)
+    assert got == scalar_returns(robot, commands, horizon)
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 11, 12, 13, 25])
+def test_lane_counts_across_tiles_equal_scalar(monkeypatch, n):
+    monkeypatch.setattr(batch, "TILE_LANE_SUBSTEPS", SMALL_TILE)   # 12 lanes a chunk
+    robot = REG.get("A1")
+    rng = random.Random(n)
+    commands = [(rng.uniform(-1.0, 5.0), rng.uniform(-1.0, 6.0)) for _ in range(n)]
+    assert evaluate_batch(robot, commands, 5) == scalar_returns(robot, commands, 5)
+
+
+@pytest.mark.parametrize("tile", [4 * 5 * N_SUBSTEPS, None], ids=["5-step-tile", "default"])
+def test_termination_inside_a_tile_equals_scalar(monkeypatch, tile):
+    # start the base at three times its nominal height: the servo lowers it
+    # below 1.5x nominal during step 7, the second step of the second 5-step tile
+    reset = environment.KinematicBackend.reset
+
+    def high_reset(backend, q0):
+        reset(backend, q0)
+        backend.base_pos = (0.0, 0.0, 3.0 * backend.robot.height_nominal)
+
+    monkeypatch.setattr(environment.KinematicBackend, "reset", high_reset)
+    monkeypatch.setattr(environment, "MIN_HEIGHT_FRAC", 1.5)
+    if tile:
+        monkeypatch.setattr(batch, "TILE_LANE_SUBSTEPS", tile)
+    robot = REG.get("A1")
+    env = QuadrupedEnv(robot)
+    env.reset(initial_phases=TROT_PHASES)
+    steps = next(k for k in range(1, HORIZON + 1) if env.step((1.0,) * 4 + (2.5,) * 4)[2])
+    assert steps == 7
+    commands = CORNERS
+    got = evaluate_batch(robot, commands, HORIZON)
+    assert got == scalar_returns(robot, commands)
+    assert got == evaluate_batch(robot, commands, steps)
+    assert got != evaluate_batch(robot, commands, steps - 1)
 
 
 @pytest.mark.parametrize("horizon", [0, -5])
@@ -125,3 +177,38 @@ def test_search_equals_scalar_loop(name, seed):
     assert result.samples == [(mu, om, r) for (mu, om), r in zip(candidates, returns)]
     assert (result.best_mu, result.best_omega, result.best_return) == (
         candidates[best] + (returns[best],))
+
+
+#: (mu, omega) inside the command box and on every side of it.
+COMMANDS = st.tuples(st.floats(-1.0, 6.0), st.floats(-1.0, 7.0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(REG.names()),
+       commands=st.lists(COMMANDS, min_size=1, max_size=4), horizon=st.integers(1, 25),
+       tile=st.integers(1, 12 * N_SUBSTEPS))
+def test_any_tiling_equals_scalar(name, commands, horizon, tile):
+    robot = REG.get(name)
+    with mock.patch.object(batch, "TILE_LANE_SUBSTEPS", tile):
+        got = evaluate_batch(robot, commands, horizon)
+    assert got == scalar_returns(robot, commands, horizon)
+
+
+def peak_bytes(robot, commands, horizon):
+    tracemalloc.start()
+    try:
+        evaluate_batch(robot, commands, horizon)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_does_not_grow_with_the_budget():
+    # one tile's arrays set the peak; only the returns grow with the budget
+    # (measured on Dog3 at horizon 2: 1,417 KB for 2,000 commands, 1,258 KB for 200)
+    robot = REG.get("Dog3")
+    rng = random.Random(0)
+    commands = [(rng.uniform(MU_MIN, MU_MAX), rng.uniform(OMEGA_MIN_HZ, OMEGA_MAX_HZ))
+                for _ in range(2000)]
+    evaluate_batch(robot, commands[:3], 2)   # first-call allocations stay out of the peaks
+    assert peak_bytes(robot, commands, 2) <= 1.25 * peak_bytes(robot, commands[:200], 2)

@@ -1,12 +1,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from quadcpg.environment import CONTROL_DT, N_SUBSTEPS
 from quadcpg.oscillator import (ALPHA, DT_INTEGRATION, MU_MAX, MU_MIN, TWO_PI,
                                 CpgConfig, InvalidCommandError, OscillatorState,
-                                clamp_command, closed_form_amplitude, init_cpg,
+                                advance, clamp_command, closed_form_amplitude, init_cpg,
                                 step_oscillator)
 
 
@@ -42,6 +43,23 @@ class TestStepOscillator:
             step_oscillator(OscillatorState(math.nan, 0.0, 0.0, 0.0), 1.0, 1.0)
         with pytest.raises(InvalidCommandError):
             step_oscillator(OscillatorState(0.0, 0.0, 0.0, 0.0), math.inf, 1.0)
+
+
+class TestAdvance:
+    def test_arrays_equal_floats_elementwise(self):
+        rng = random.Random(5)
+        lanes = [(rng.uniform(0.0, 4.0), rng.uniform(-50.0, 50.0),
+                  rng.uniform(MU_MIN, MU_MAX), TWO_PI * rng.uniform(0.0, 5.0),
+                  rng.uniform(0.0, TWO_PI)) for _ in range(50)]
+        floats = [advance(*lane) for lane in lanes]
+        arrays = advance(*(np.array(column) for column in zip(*lanes)))
+        assert [list(row) for row in zip(*(a.tolist() for a in arrays))] == floats
+
+    def test_phases_share_one_amplitude_step(self):
+        r, r_dot, *thetas = advance(0.2, 1.5, 2.0, TWO_PI * 0.7, 0.0, 1.0, 6.0)
+        for theta, new in zip((0.0, 1.0, 6.0), thetas):
+            state = step_oscillator(OscillatorState(0.2, 1.5, theta, 0.0), 2.0, 0.7)
+            assert state[:3] == (r, r_dot, new)
 
 
 class TestClampCommand:

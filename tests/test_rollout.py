@@ -2,11 +2,17 @@ import csv
 import io
 import json
 import math
+import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from quadcpg.controllers import open_loop_trot
-from quadcpg.oscillator import MU_MAX, MU_MIN, OMEGA_MAX_HZ, OMEGA_MIN_HZ
+from quadcpg.environment import CONTROL_DT, N_SUBSTEPS
+from quadcpg.foot_trajectory import foot_target, leg_pf_params
+from quadcpg.oscillator import (MU_MAX, MU_MIN, OMEGA_MAX_HZ, OMEGA_MIN_HZ, TROT_PHASES,
+                                init_cpg, step_oscillator)
 from quadcpg.registry import builtin_registry
 from quadcpg.rollout import (read_record_csv, record_columns,
                              run_open_loop_trajectory, run_rollout,
@@ -48,6 +54,54 @@ class TestOpenLoopTrajectory:
     def test_duration_boundary(self, duration):
         with pytest.raises(ValueError, match="duration"):
             run_open_loop_trajectory(A1, 1.0, 2.5, duration)
+
+
+def substep_trajectory(robot, mu, omega, duration):
+    """The trajectory as a per-substep loop of step_oscillator and foot_target."""
+    cpg = init_cpg(TROT_PHASES)
+    pf = leg_pf_params(robot)
+    rows = []
+    for k in range(int(round(duration / CONTROL_DT))):
+        for _ in range(N_SUBSTEPS):
+            cpg = [step_oscillator(state, mu, omega) for state in cpg]
+        row = [(k + 1) * CONTROL_DT]
+        row += [s.r for s in cpg]
+        row += [s.theta for s in cpg]
+        for state, params in zip(cpg, pf):
+            row += foot_target(state, params)
+        rows.append(row)
+    return rows
+
+
+def assert_same_as_substep_loop(robot, mu, omega, duration, tmp_path):
+    columns, rows = run_open_loop_trajectory(robot, mu, omega, duration)
+    oracle = substep_trajectory(robot, mu, omega, duration)
+    assert rows == oracle
+    write_csv(columns, rows, str(tmp_path / "traj.csv"))
+    write_csv(columns, oracle, str(tmp_path / "oracle.csv"))
+    assert (tmp_path / "traj.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+class TestTrajectoryEqualsSubstepLoop:
+    """Rows == and CSV bytes equal to a per-substep oracle loop."""
+
+    @pytest.mark.parametrize("name", REG.names())
+    def test_every_robot(self, name, tmp_path):
+        robot = REG.get(name)
+        rng = random.Random(name)
+        commands = [(MU_MIN, OMEGA_MIN_HZ), (MU_MIN, OMEGA_MAX_HZ), (MU_MAX, OMEGA_MIN_HZ),
+                    (MU_MAX, OMEGA_MAX_HZ)] + [
+            (rng.uniform(MU_MIN, MU_MAX), rng.uniform(OMEGA_MIN_HZ, OMEGA_MAX_HZ))
+            for _ in range(2)]
+        for mu, omega in commands:
+            assert_same_as_substep_loop(robot, mu, omega, 0.5, tmp_path)
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mu=st.floats(MU_MIN, MU_MAX), omega=st.floats(OMEGA_MIN_HZ, OMEGA_MAX_HZ),
+           duration=st.floats(0.01, 1.0))
+    def test_any_command_and_duration(self, mu, omega, duration, tmp_path):
+        assert_same_as_substep_loop(A1, mu, omega, duration, tmp_path)
 
 
 class TestTrajectoryMatchesRollout:

@@ -91,7 +91,7 @@ BATCH_FORBIDDEN = {
     "hypot", "exp", "exp2", "expm1", "log", "log2", "log10", "log1p", "tan",
     "tanh", "sinh", "cosh", "power", "float_power", "cbrt", "sum", "nansum",
     "cumsum", "prod", "mean", "average", "dot", "vdot", "inner", "matmul",
-    "einsum", "tensordot", "norm", "linalg",
+    "einsum", "tensordot", "norm", "linalg", "reduce",
 }
 
 
@@ -115,13 +115,17 @@ def test_batch_kernel_keeps_to_exact_operations():
 @pytest.mark.parametrize("snippet", [
     "q = np.arctan2(y, x)", "h = np.hypot(u, v)", "s = np.sum(p, axis=1)",
     "s = p.sum()", "s = np.dot(t, qd)", "s = t @ qd", "s @= t", "e = np.exp(x)",
-    "n = np.linalg.norm(v)"])
+    "n = np.linalg.norm(v)", "s = np.add.reduce(p)"])
 def test_batch_guard_catches(snippet):
     assert batch_violations(snippet)
 
 
 def test_batch_guard_allows_math_and_sin_cos():
     assert batch_violations("h = math.hypot(u, v) + math.atan2(y, x) + np.sin(a)") == []
+
+
+def test_batch_guard_allows_in_order_accumulation():
+    assert batch_violations("x = np.add.accumulate(d) + np.maximum.accumulate(i)") == []
 
 
 def builtin_sum_calls(source):
@@ -159,6 +163,20 @@ def test_each_fact_has_one_owner():
     assert limb_tuples == ["oscillator.py"]      # LIMBS
     assert alpha_squares == ["oscillator.py"]    # AMPLITUDE_GAIN
     assert control_dt_stores == []               # CONTROL_DT is the control period
+    assert heun_updates() == [("oscillator.py", "advance")]   # the oscillator update
+
+
+def heun_updates():
+    """(module, function) of every function that reads AMPLITUDE_GAIN, the
+    amplitude equation's stiffness: where the Heun update is written out."""
+    found = []
+    for path in MODULES:
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    isinstance(n, ast.Name) and n.id == "AMPLITUDE_GAIN"
+                    for n in ast.walk(fn)):
+                found.append((path.name, fn.name))
+    return found
 
 
 def _distribution_key(name):
