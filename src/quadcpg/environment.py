@@ -8,6 +8,15 @@ control step from the accumulated forward progress; its sums, like every
 sum `batch.py` and the rollout manifest must match bit for bit, go through
 `sum_in_order`, never the builtin `sum()`.
 
+`step` does this work leg-major: each leg runs its oscillator, pattern
+formation and IK through all ten substeps, filling a substeps x legs
+table of desired joint positions, and only then does the backend advance
+once per substep, in order.  The result is the substep-major loop's, bit
+for bit: the command is held for the whole step, the CPG runs feed-forward
+(no backend state flows back into oscillator -> pattern formation -> IK)
+and the legs share no state, so every value is computed from the same
+inputs by the same operations, only at a different time.
+
 The observation is a fixed 49-vector for every robot, regardless of DoF
 count and morphology:
 
@@ -35,10 +44,10 @@ from typing import Iterable, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .foot_trajectory import foot_target, leg_pf_params
+from .foot_trajectory import FootTarget, foot_target, foot_xz, leg_pf_params
 from .kinematics import _solve_3dof, _solve_4dof, fk_all_feet
-from .oscillator import (DT_INTEGRATION, TROT_PHASES, clamp_command, init_cpg,
-                         step_oscillator)
+from .oscillator import (DT_INTEGRATION, TROT_PHASES, TWO_PI, OscillatorState,
+                         advance, clamp_command, init_cpg)
 from .registry import RobotDescriptor
 
 OBSERVATION_SIZE = 49
@@ -66,6 +75,11 @@ MIN_HEIGHT_FRAC = 0.3
 LAG_TAU_MAX = 0.005
 HEIGHT_SERVO_TAU = 0.05
 CONTACT_TOL = 1e-9
+
+
+#: An oscillator at zero amplitude and phase: its foot target is the
+#: pattern-formation set-point, the standing pose of `reset`.
+_AT_REST = OscillatorState(0.0, 0.0, 0.0, 0.0)
 
 
 def sum_in_order(terms: Iterable):
@@ -180,13 +194,8 @@ class KinematicBackend:
         a, dt = self.lag_factor, DT_INTEGRATION
 
         q_all = self.joint_positions
-        qd_all = self.joint_velocities
-        trq_all = self.joint_torques
-        for leg in range(4):
-            q = q_all[leg]
-            qd = qd_all[leg]
-            trq = trq_all[leg]
-            des = q_des[leg]
+        for q, qd, trq, des in zip(q_all, self.joint_velocities,
+                                   self.joint_torques, q_des):
             for j in range(len(q)):
                 e = des[j] - q[j]
                 trq[j] = kp * e - kd * qd[j]
@@ -251,7 +260,6 @@ class QuadrupedEnv:
         self.backend = KinematicBackend(robot)
         self.d_max = V_CAP * CONTROL_DT
         self.min_height = MIN_HEIGHT_FRAC * robot.height_nominal
-        self.n_substeps = N_SUBSTEPS
         self._pf = leg_pf_params(robot)
         self._solvers = tuple(
             _solve_3dof if leg.dof == 3 else _solve_4dof for leg in robot.legs)
@@ -269,7 +277,7 @@ class QuadrupedEnv:
         self._cpg = init_cpg(initial_phases)
         q0 = []
         for leg, pf, solve in zip(robot.legs, self._pf, self._solvers):
-            q, _ = solve(leg, pf.x_off, pf.y_nominal, pf.z_off - pf.h)
+            q, _ = solve(leg, *foot_target(_AT_REST, pf))
             q0.append(list(q))
         self.backend.reset(q0)
         self._prev_action = (0.0,) * ACTION_SIZE
@@ -288,27 +296,30 @@ class QuadrupedEnv:
         cmd = clamp_command(action)
         mu, omega = cmd.mu, cmd.omega
 
+        # Leg-major, exact because the chain takes no feedback (module docstring).
         backend = self.backend
-        legs = self.robot.legs
-        pf = self._pf
-        solvers = self._solvers
         cpg = self._cpg
-
-        x0 = backend.base_pos[0]
-        workspace_violations = 0
-        q_des = [None] * 4
+        q_des = [[None] * 4 for _ in range(N_SUBSTEPS)]
         targets = [None] * 4
-        for _ in range(self.n_substeps):
-            for i in range(4):
-                state = step_oscillator(cpg[i], mu[i], omega[i])
-                cpg[i] = state
-                tgt = foot_target(state, pf[i])
-                targets[i] = tgt
-                q, clamped = solvers[i](legs[i], tgt.x, tgt.y, tgt.z)
+        workspace_violations = 0
+        for i, (leg, pf, solve) in enumerate(zip(self.robot.legs, self._pf,
+                                                 self._solvers)):
+            mu_i, theta_dot = mu[i], TWO_PI * omega[i]
+            r, r_dot, theta, _ = cpg[i]
+            y = pf.y_nominal
+            for row in q_des:
+                r, r_dot, theta = advance(r, r_dot, mu_i, theta_dot, theta)
+                x, z = foot_xz(r, theta, pf)
+                q, clamped = solve(leg, x, y, z)
                 if clamped:
                     workspace_violations += 1
-                q_des[i] = q
-            backend.advance(q_des)
+                row[i] = q
+            cpg[i] = OscillatorState(r, r_dot, theta, theta_dot)
+            targets[i] = FootTarget(x, y, z)
+
+        x0 = backend.base_pos[0]
+        for row in q_des:
+            backend.advance(row)
 
         f_x = backend.base_pos[0] - x0
         qdot = [v for leg in backend.joint_velocities for v in leg]
@@ -331,6 +342,11 @@ class QuadrupedEnv:
             "command": cmd,
         }
         return obs, terms.total, self.done, info
+
+    @property
+    def n_substeps(self) -> int:
+        """Inner-loop substeps per control step: N_SUBSTEPS, read-only."""
+        return N_SUBSTEPS
 
     @property
     def cpg_states(self):

@@ -57,14 +57,19 @@ class PfParams:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
+def foot_xz(r: float, theta: float, params: PfParams):
+    """Pattern formation on floats: the (x, z) of one leg's foot target for
+    amplitude r and phase theta; its lateral y is params.y_nominal."""
+    s = math.sin(theta)
+    x = params.x_off - params.l_step * r * math.cos(theta)
+    if s > 0.0:
+        return x, params.z_off - params.h + params.l_clrnc * s
+    return x, params.z_off - params.h + params.l_pntr * s
+
+
 def foot_target(state: OscillatorState, params: PfParams) -> FootTarget:
     """Map one oscillator state to the desired foot position."""
-    s = math.sin(state.theta)
-    x = params.x_off - params.l_step * state.r * math.cos(state.theta)
-    if s > 0.0:
-        z = params.z_off - params.h + params.l_clrnc * s
-    else:
-        z = params.z_off - params.h + params.l_pntr * s
+    x, z = foot_xz(state.r, state.theta, params)
     return FootTarget(x, params.y_nominal, z)
 
 

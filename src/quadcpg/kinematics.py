@@ -96,29 +96,32 @@ class LegGeometry:
         return reach
 
 
+def _foot_in_hip(links: Sequence[float], d: float, q: Sequence[float]):
+    """(x, y, z) of the foot in the hip frame: the planar chain of 2 or 3
+    links, then the abduction rotation; the one body of both FK functions."""
+    if len(links) == 2:
+        l1, l2 = links
+        q_abd, a1, q_knee = q
+        a2 = a1 + q_knee
+        sx = l1 * math.sin(a1) + l2 * math.sin(a2)
+        cz = l1 * math.cos(a1) + l2 * math.cos(a2)
+    else:
+        l1, l2, l3 = links
+        q_abd, a1, q_knee, q_foot = q
+        a2 = a1 + q_knee
+        a3 = a2 + q_foot
+        sx = l1 * math.sin(a1) + l2 * math.sin(a2) + l3 * math.sin(a3)
+        cz = l1 * math.cos(a1) + l2 * math.cos(a2) + l3 * math.cos(a3)
+    zp = -cz
+    c0, s0 = math.cos(q_abd), math.sin(q_abd)
+    return -sx, d * c0 - zp * s0, d * s0 + zp * c0
+
+
 def fk_leg(geom: LegGeometry, q: Sequence[float]) -> FootTarget:
     """Foot position in the hip frame for the given joint angles."""
     if len(q) != geom.dof:
         raise ValueError(f"expected {geom.dof} joint angles, got {len(q)}")
-    q_abd = q[0]
-    if geom.dof == 3:
-        l1, l2 = geom.link_lengths
-        a1 = q[1]
-        a2 = q[1] + q[2]
-        xp = -(l1 * math.sin(a1) + l2 * math.sin(a2))
-        zp = -(l1 * math.cos(a1) + l2 * math.cos(a2))
-    else:
-        l1, l2, l3 = geom.link_lengths
-        a1 = q[1]
-        a2 = q[1] + q[2]
-        a3 = q[1] + q[2] + q[3]
-        xp = -(l1 * math.sin(a1) + l2 * math.sin(a2) + l3 * math.sin(a3))
-        zp = -(l1 * math.cos(a1) + l2 * math.cos(a2) + l3 * math.cos(a3))
-    c0, s0 = math.cos(q_abd), math.sin(q_abd)
-    d = geom.abd_offset
-    y = d * c0 - zp * s0
-    z = d * s0 + zp * c0
-    return FootTarget(xp, y, z)
+    return FootTarget(*_foot_in_hip(geom.link_lengths, geom.abd_offset, q))
 
 
 def _abduction(d: float, y: float, z: float):
@@ -244,7 +247,7 @@ def fk_all_feet(robot: "RobotDescriptor", q_all: Sequence[Sequence[float]]):
         raise ValueError(f"expected 4 joint vectors, got {len(q_all)}")
     feet = []
     for geom, q in zip(robot.legs, q_all):
-        fx, fy, fz = fk_leg(geom, q)
+        fx, fy, fz = _foot_in_hip(geom.link_lengths, geom.abd_offset, q)
         hx, hy, hz = geom.hip_offset
         feet.append((fx + hx, fy + hy, fz + hz))
     return feet

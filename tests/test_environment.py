@@ -1,11 +1,16 @@
 import math
+import random
+from types import SimpleNamespace
 
 import pytest
 
 from quadcpg import environment
-from quadcpg.environment import (ACTION_SIZE, OBSERVATION_SIZE, QuadrupedEnv,
-                                 build_observation, compute_reward)
-from quadcpg.oscillator import TROT_PHASES, InvalidCommandError
+from quadcpg.environment import (ACTION_SIZE, CONTROL_DT, FALL_ANGLE_LIMIT, N_SUBSTEPS,
+                                 OBSERVATION_SIZE, QuadrupedEnv, build_observation,
+                                 compute_reward)
+from quadcpg.foot_trajectory import FootTarget, foot_target, leg_pf_params
+from quadcpg.kinematics import fk_all_feet, ik_leg_clamped
+from quadcpg.oscillator import TROT_PHASES, InvalidCommandError, clamp_command, step_oscillator
 from quadcpg.registry import builtin_registry
 
 REG = builtin_registry()
@@ -87,7 +92,13 @@ class TestStep:
         for _ in range(37):
             env.step(TROT_ACTION)
         assert env.time == pytest.approx(0.37)
-        assert env.n_substeps == 10
+        assert env.n_substeps == N_SUBSTEPS == 10
+
+    def test_n_substeps_is_read_only(self):
+        env = make_env()
+        with pytest.raises(AttributeError):
+            env.n_substeps = 5
+        assert env.n_substeps == N_SUBSTEPS
 
     def test_non_finite_action_rejected(self):
         env = make_env()
@@ -154,6 +165,72 @@ class TestStep:
                 assert not obs.foot_contacts[i]
             elif s < -0.2:
                 assert obs.foot_contacts[i]
+
+
+def substep_loop_step(env, action):
+    """QuadrupedEnv.step as the per-substep loop it replaced: each substep
+    steps the four oscillators, forms their foot targets, solves their IK
+    and advances the backend once."""
+    cmd = clamp_command(action)
+    backend, cpg, legs = env.backend, env._cpg, env.robot.legs
+    x0 = backend.base_pos[0]
+    violations = 0
+    targets = [None] * 4
+    for _ in range(N_SUBSTEPS):
+        q_des = []
+        for i in range(4):
+            cpg[i] = step_oscillator(cpg[i], cmd.mu[i], cmd.omega[i])
+            targets[i] = foot_target(cpg[i], env._pf[i])
+            q, clamped = ik_leg_clamped(legs[i], targets[i])
+            violations += clamped
+            q_des.append(q)
+        backend.advance(q_des)
+    qdot = [v for leg in backend.joint_velocities for v in leg]
+    tau = [t for leg in backend.joint_torques for t in leg]
+    terms = compute_reward(backend.base_pos[0] - x0, env.d_max, backend.base_rpy, tau,
+                           qdot, env._prev_qdot)
+    env._prev_qdot = qdot
+    env._prev_action = cmd.mu + cmd.omega
+    env.time += CONTROL_DT
+    roll, pitch, _ = backend.base_rpy
+    env.done = (abs(roll) > FALL_ANGLE_LIMIT or abs(pitch) > FALL_ANGLE_LIMIT
+                or backend.base_pos[2] < env.min_height)
+    obs = build_observation(env.robot, backend, cpg, env._prev_action)
+    info = {"terms": terms, "workspace_violations": violations,
+            "foot_targets": tuple(targets), "command": cmd}
+    return obs, terms.total, env.done, info
+
+
+class TestStepEqualsSubstepLoop:
+    """The leg-major step == the per-substep loop, output for output."""
+
+    @pytest.mark.parametrize("name", REG.names())
+    def test_every_robot(self, name):
+        robot = REG.get(name)
+        rng = random.Random(name)
+        phases = [rng.uniform(-7.0, 7.0) for _ in range(4)]
+        env, ref = QuadrupedEnv(robot), QuadrupedEnv(robot)
+        assert env.reset(initial_phases=phases) == ref.reset(initial_phases=phases)
+        for leg, pf, q in zip(robot.legs, leg_pf_params(robot), env.backend.joint_positions):
+            standing = FootTarget(pf.x_off, pf.y_nominal, pf.z_off - pf.h)
+            assert list(ik_leg_clamped(leg, standing)[0]) == q
+        # unequal per-leg commands, some clamping the IK, some outside the box
+        actions = [(4.0, 3.5, 0.7, 2.0, 5.0, 4.5, 1.0, 0.0),
+                   (9.0, -1.0, 4.0, 0.5, 7.0, -2.0, 5.0, 2.5)]
+        actions += [[rng.uniform(-1.0, 6.0) for _ in range(4)]
+                    + [rng.uniform(-2.0, 7.0) for _ in range(4)] for _ in range(30)]
+        clamped = 0
+        for action in actions:
+            obs, reward, done, info = env.step(action)
+            ref_obs, ref_reward, ref_done, ref_info = substep_loop_step(ref, action)
+            assert tuple(obs.to_array()) == tuple(ref_obs.to_array())
+            assert (reward, done, info) == (ref_reward, ref_done, ref_info)
+            assert env.cpg_states == ref.cpg_states
+            clamped += info["workspace_violations"]
+            if done:
+                break
+        if name == "A1":
+            assert clamped > 0   # strides at mu near 4 leave A1's workspace
 
 
 class TestDeterminism:
@@ -241,11 +318,20 @@ class TestKinematicBackend:
         assert dx == pytest.approx(4 * A1.pf.l_step, rel=0.02)
 
     def test_build_observation_uses_joint_fk(self):
-        env = make_env()
-        env.reset(seed=0)
-        obs = build_observation(A1, env.backend, env.cpg_states,
-                                (0.0,) * ACTION_SIZE)
-        from quadcpg.kinematics import fk_all_feet
-        feet = fk_all_feet(A1, env.backend.joint_positions)
-        flat = tuple(c for foot in feet for c in foot)
-        assert obs.feet_positions == flat
+        # a snapshot holding just these five fields must do (perfbench
+        # replays build_observation on one), so the feet come from FK over
+        # joint_positions, never from feet cached in the backend
+        for robot in (A1, REG.get("Dog3")):
+            env = QuadrupedEnv(robot)
+            env.reset(seed=0)
+            for _ in range(7):
+                env.step(TROT_ACTION)
+            b = env.backend
+            snapshot = SimpleNamespace(
+                joint_positions=[list(q) for q in b.joint_positions], base_rpy=b.base_rpy,
+                base_lin_vel=b.base_lin_vel, base_ang_vel=b.base_ang_vel,
+                foot_contacts=b.foot_contacts)
+            obs = build_observation(robot, snapshot, env.cpg_states, TROT_ACTION)
+            feet = fk_all_feet(robot, b.joint_positions)
+            assert obs.feet_positions == tuple(c for foot in feet for c in foot)
+            assert obs == build_observation(robot, b, env.cpg_states, TROT_ACTION)

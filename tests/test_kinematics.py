@@ -3,11 +3,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from quadcpg.foot_trajectory import FootTarget
 from quadcpg.kinematics import (ELBOW_DOWN, ELBOW_UP, FOOT_COUPLING_RATIO,
                                 LegGeometry, OutOfWorkspaceError, fk_all_feet,
-                                fk_leg, ik_leg)
+                                fk_leg, ik_leg, ik_leg_clamped)
 from quadcpg.registry import builtin_registry
 
 GEOM3_UP = LegGeometry(hip_offset=(0.0, 0.0, 0.0), abd_offset=0.05,
@@ -238,3 +240,49 @@ class TestAllFeet:
         robot = builtin_registry().get("A1")
         with pytest.raises(ValueError):
             fk_all_feet(robot, [(0.0, 0.0, 0.0)] * 3)
+
+
+@st.composite
+def leg_and_pose(draw):
+    """A valid random leg geometry and joint angles on its IK branch: the
+    knee bent away from straight and folded, the foot below the hip."""
+    n_links = draw(st.sampled_from([2, 3]))
+    links = tuple(draw(st.floats(0.05, 0.4)) for _ in range(n_links))
+    geom = LegGeometry(
+        hip_offset=tuple(draw(st.floats(-0.5, 0.5)) for _ in range(3)),
+        abd_offset=draw(st.floats(-0.12, 0.12)), link_lengths=links,
+        knee_config=draw(st.sampled_from([ELBOW_UP, ELBOW_DOWN])))
+    sign = 1.0 if geom.knee_config == ELBOW_UP else -1.0
+    q_abd, hip = draw(st.floats(-0.8, 0.8)), draw(st.floats(-1.2, 1.2))
+    if n_links == 2:
+        q = (q_abd, hip, sign * draw(st.floats(0.05, 2.5)))
+    else:
+        knee = 2.0 * sign * draw(st.floats(0.05, 1.2))
+        q = (q_abd, hip, knee, FOOT_COUPLING_RATIO * knee)
+    pitch, z_planar = 0.0, 0.0
+    for link, angle in zip(links, q[1:]):
+        pitch += angle
+        z_planar -= link * math.cos(pitch)
+    assume(z_planar <= -0.1 * geom.max_reach)
+    return geom, q
+
+
+class TestRoundTripProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(leg_and_pose())
+    def test_fk_ik_roundtrip_over_random_geometries(self, leg_q):
+        geom, q_star = leg_q
+        target = fk_leg(geom, q_star)
+        q, clamped = ik_leg_clamped(geom, target)
+        assert not clamped
+        assert fk_leg(geom, q) == pytest.approx(tuple(target), abs=1e-9)
+
+    @settings(max_examples=100, deadline=None)
+    @given(name=st.sampled_from(builtin_registry().names()), data=st.data())
+    def test_fk_leg_plus_hip_offset_is_fk_all_feet(self, name, data):
+        robot = builtin_registry().get(name)
+        angle = st.floats(-math.pi, math.pi)
+        q_all = [tuple(data.draw(angle) for _ in range(leg.dof)) for leg in robot.legs]
+        feet = fk_all_feet(robot, q_all)
+        for leg, q, foot in zip(robot.legs, q_all, feet):
+            assert tuple(f + h for f, h in zip(fk_leg(leg, q), leg.hip_offset)) == foot

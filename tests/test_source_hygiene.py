@@ -163,20 +163,38 @@ def test_each_fact_has_one_owner():
     assert limb_tuples == ["oscillator.py"]      # LIMBS
     assert alpha_squares == ["oscillator.py"]    # AMPLITUDE_GAIN
     assert control_dt_stores == []               # CONTROL_DT is the control period
-    assert heun_updates() == [("oscillator.py", "advance")]   # the oscillator update
+    # the oscillator update, from the amplitude equation's stiffness
+    assert readers_in_src("AMPLITUDE_GAIN") == [("oscillator.py", "advance")]
+    # pattern formation: the scalar owner and the kernel's array form, plus
+    # the registry writing the value back out as YAML
+    assert readers_in_src("l_clrnc") == [
+        ("batch.py", "foot_targets"), ("foot_trajectory.py", "foot_xz"),
+        ("registry.py", "_entry_from_descriptor")]
 
 
-def heun_updates():
-    """(module, function) of every function that reads AMPLITUDE_GAIN, the
-    amplitude equation's stiffness: where the Heun update is written out."""
+def readers_in_src(field):
+    return [(path.name, fn) for path in MODULES
+            for fn in readers_of(field, path.read_text())]
+
+
+def readers_of(field, source):
+    """Every function that reads `field` as an attribute or a name: where a
+    formula using it is written out."""
     found = []
-    for path in MODULES:
-        for fn in ast.walk(ast.parse(path.read_text())):
-            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
-                    isinstance(n, ast.Name) and n.id == "AMPLITUDE_GAIN"
-                    for n in ast.walk(fn)):
-                found.append((path.name, fn.name))
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                isinstance(n, (ast.Attribute, ast.Name)) and isinstance(n.ctx, ast.Load)
+                and (n.attr if isinstance(n, ast.Attribute) else n.id) == field
+                for n in ast.walk(fn)):
+            found.append(fn.name)
     return found
+
+
+@pytest.mark.parametrize("fork", [
+    "def step(pf, s):\n    return pf.z_off - pf.h + pf.l_clrnc * s",
+    "def step(z0, l_clrnc, s):\n    return z0 + l_clrnc * s"])
+def test_reader_guard_catches_a_forked_pattern_formation(fork):
+    assert readers_of("l_clrnc", fork) == ["step"]
 
 
 def _distribution_key(name):
