@@ -26,7 +26,7 @@ import numpy as np
 from .environment import (CONTACT_TOL, N_SUBSTEPS, W_FORWARD, W_ORIENTATION, W_POWER,
                           QuadrupedEnv, sum_in_order)
 from .foot_trajectory import leg_pf_params
-from .kinematics import _CLAMP_TOL, ELBOW_DOWN, FOOT_COUPLING_RATIO
+from .kinematics import _CLAMP_TOL, FOOT_COUPLING_RATIO
 from .oscillator import DT_INTEGRATION, TROT_PHASES, TWO_PI, advance, clamp_command
 from .registry import RobotDescriptor
 
@@ -48,30 +48,26 @@ def _wrap(angle: np.ndarray) -> np.ndarray:
 
 
 class _Legs:
-    """The four legs' geometry as (4,) arrays, with the IK's constant prefixes."""
+    """The four legs' geometry and their IK constants (`LegGeometry`'s) as (4,) arrays."""
 
     def __init__(self, robot: RobotDescriptor):
         legs = robot.legs
         self.dof = legs[0].dof
         self.links = [np.array(col) for col in zip(*(leg.link_lengths for leg in legs))]
         self.d = np.array([leg.abd_offset for leg in legs])
-        self.dd = self.d * self.d
         self.hip_x, _, self.hip_z = np.array([leg.hip_offset for leg in legs]).T
-        self.down = np.array([leg.knee_config == ELBOW_DOWN for leg in legs])
-        l1, l2 = self.links[:2]
-        if self.dof == 3:
-            self.lo, self.hi = np.abs(l1 - l2), l1 + l2
-        else:
-            l3 = self.links[2]
-            self.qa, self.qb = 4.0 * l1 * l2, 2.0 * (l1 + l2) * l3
-            self.qk0 = l1 * l1 + l2 * l2 + l3 * l3 - 2.0 * l1 * l2
+        names = ["dd", "dd_in", "elbow_down"] + (
+            ["lo", "hi", "l1l1", "l2l2", "two_l1l2"] if self.dof == 3
+            else ["qb", "qk0", "qbqb", "four_qa", "two_qa", "disc_in"])
+        for name in names:
+            setattr(self, name, np.array([getattr(leg, name) for leg in legs]))
 
     def ik(self, x, y, z):
-        """_abduction, then _solve_3dof or _solve_4dof, over (N, 4) targets:
-        q as (N, 4, dof).  The 3-DoF clamp flags go unread, so are not computed."""
+        """_solve_3dof or _solve_4dof over (N, 4) targets: q as (N, 4, dof).
+        The 3-DoF clamp flags go unread, so are not computed."""
         rr = y * y + z * z
         inside = rr < self.dd
-        clamped = inside & (rr < self.dd * (1.0 - _CLAMP_TOL))
+        clamped = inside & (rr < self.dd_in)
         rr = np.where(inside, self.dd, rr)
         z_leg = -np.sqrt(rr - self.dd)
         positive = rr > 0.0
@@ -88,9 +84,9 @@ class _Legs:
             x = np.where(moved, np.where(nonzero, x * scale, 0.0), x)
             z_leg = np.where(moved, np.where(nonzero, z_leg * scale, -self.lo), z_leg)
             rho = np.where(moved, bound, rho)
-            cos_knee = (rho * rho - l1 * l1 - l2 * l2) / (2.0 * l1 * l2)
+            cos_knee = (rho * rho - self.l1l1 - self.l2l2) / self.two_l1l2
             knee = _math(math.acos, np.minimum(1.0, np.maximum(-1.0, cos_knee)))
-            knee = np.where(self.down, -knee, knee)
+            knee = np.where(self.elbow_down, -knee, knee)
             a = l1 + l2 * np.cos(knee)
             b = l2 * np.sin(knee)
             hip = _math(math.atan2, -x, -z_leg) - _math(math.atan2, b, a)
@@ -98,13 +94,13 @@ class _Legs:
 
         l1, l2, l3 = self.links
         qk = self.qk0 - (x * x + z_leg * z_leg)
-        disc = self.qb * self.qb - 4.0 * self.qa * qk
+        disc = self.qbqb - self.four_qa * qk
         negative = disc < 0.0
-        clamped |= negative & (disc < -_CLAMP_TOL * self.qb * self.qb)
-        c = (-self.qb + np.sqrt(np.where(negative, 0.0, disc))) / (2.0 * self.qa)
+        clamped |= negative & (disc < self.disc_in)
+        c = (-self.qb + np.sqrt(np.where(negative, 0.0, disc))) / self.two_qa
         clamped |= (c > 1.0 + _CLAMP_TOL) | (c < -1.0)
         psi = _math(math.acos, np.minimum(1.0, np.maximum(-1.0, c)))
-        psi = np.where(self.down, -psi, psi)
+        psi = np.where(self.elbow_down, -psi, psi)
         knee = 2.0 * psi
         a = l1 + l3 * np.cos(psi) + l2 * np.cos(2.0 * psi)
         b = l3 * np.sin(psi) + l2 * np.sin(2.0 * psi)

@@ -10,11 +10,13 @@ sum `batch.py` and the rollout manifest must match bit for bit, go through
 
 `step` does this work leg-major: each leg runs its oscillator, pattern
 formation and IK through all ten substeps, filling a substeps x legs
-table of desired joint positions, and only then does the backend advance
-once per substep, in order.  The result is the substep-major loop's, bit
-for bit: the command is held for the whole step, the CPG runs feed-forward
-(no backend state flows back into oscillator -> pattern formation -> IK)
-and the legs share no state, so every value is computed from the same
+table of desired joint positions, and then the backend advances the
+whole step in one call.  It too goes leg by leg first (joint lag and FK
+through every substep), then runs contacts and the base substep by
+substep.  The result is the substep-major loop's, bit for bit: the
+command is held for the whole step, the CPG runs feed-forward (no backend
+state flows back into oscillator -> pattern formation -> IK) and a leg's
+joints and FK read no other leg, so every value is computed from the same
 inputs by the same operations, only at a different time.
 
 The observation is a fixed 49-vector for every robot, regardless of DoF
@@ -45,7 +47,7 @@ from typing import Iterable, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .foot_trajectory import FootTarget, foot_target, foot_xz, leg_pf_params
-from .kinematics import _solve_3dof, _solve_4dof, fk_all_feet
+from .kinematics import _foot_in_hip, _solve_3dof, _solve_4dof, fk_all_feet
 from .oscillator import (DT_INTEGRATION, TROT_PHASES, TWO_PI, OscillatorState,
                          advance, clamp_command, init_cpg)
 from .registry import RobotDescriptor
@@ -151,17 +153,20 @@ class Observation:
 
 
 class KinematicBackend:
-    """Stance-anchored kinematic body model, advanced DT_INTEGRATION per call.
+    """Stance-anchored kinematic body model, advanced one control step
+    (N_SUBSTEPS substeps of DT_INTEGRATION) per call.
 
     Joints close `lag_factor` of their error to the desired positions per
-    step: a first-order lag whose time constant, the PD gain ratio kd/kp,
+    substep: a first-order lag whose time constant, the PD gain ratio kd/kp,
     is clamped to [DT_INTEGRATION, LAG_TAU_MAX] so tracking stays stable
     and fast enough for the stance-sweep velocity model to hold.  Torques
     follow the PD law tau = kp * (q_des - q) - kd * qdot.  Feet at or below
     the ground plane count as contacts and anchor the base: its planar
     velocity is the negative mean stance-foot velocity in the body frame.
     The base height closes `servo_factor` of its error to the nominal
-    standing height per step; orientation remains flat.
+    standing height per substep; orientation remains flat.  Joint torques
+    are kept for the last substep of a call only: the reward reads no
+    other.
     """
 
     def __init__(self, robot: RobotDescriptor):
@@ -189,42 +194,69 @@ class KinematicBackend:
         return tuple(base_z + f[2] <= CONTACT_TOL for f in self._feet)
 
     def advance(self, q_des) -> None:
+        """One control step: q_des holds each substep's desired joint positions,
+        a row of four legs per substep, run in order.
+
+        Each leg runs its joint lag and its FK through every substep first;
+        the torques are those of the last substep, the ones the reward
+        reads.  Then contacts, stance sums and the base go substep by
+        substep, over the legs in order.
+        """
         robot = self.robot
         kp, kd = robot.kp, robot.kd
         a, dt = self.lag_factor, DT_INTEGRATION
 
-        q_all = self.joint_positions
-        for q, qd, trq, des in zip(q_all, self.joint_velocities,
-                                   self.joint_torques, q_des):
-            for j in range(len(q)):
-                e = des[j] - q[j]
-                trq[j] = kp * e - kd * qd[j]
+        paths = []   # per leg, its body-frame foot after each substep
+        for i, (geom, q, qd, trq) in enumerate(zip(
+                robot.legs, self.joint_positions, self.joint_velocities,
+                self.joint_torques)):
+            cols = []   # per joint, its position after each substep
+            for j, des_j in enumerate(zip(*(row[i] for row in q_des))):
+                qj, dq = q[j], None
+                col = []
+                for des in des_j[:-1]:
+                    dq = (des - qj) * a
+                    qj += dq
+                    col.append(qj)
+                e = des_j[-1] - qj
+                trq[j] = kp * e - kd * (qd[j] if dq is None else dq / dt)
                 dq = e * a
-                q[j] += dq
-                qd[j] = dq / dt
+                qj += dq
+                col.append(qj)
+                q[j], qd[j] = qj, dq / dt
+                cols.append(col)
+            links, d = geom.link_lengths, geom.abd_offset
+            hx, hy, hz = geom.hip_offset
+            path = []
+            for qk in zip(*cols):
+                fx, fy, fz = _foot_in_hip(links, d, qk)
+                path.append((fx + hx, fy + hy, fz + hz))
+            paths.append(path)
 
-        feet_prev = self._feet
-        feet = fk_all_feet(robot, q_all)
-        self._feet = feet
-        contacts = self._compute_contacts()
-        self.foot_contacts = contacts
-
-        n_stance = 0
-        sx = sy = 0.0
-        for i in range(4):
-            if contacts[i]:
-                n_stance += 1
-                sx += feet[i][0] - feet_prev[i][0]
-                sy += feet[i][1] - feet_prev[i][1]
-        if n_stance > 0:
-            vx = -sx / (n_stance * dt)
-            vy = -sy / (n_stance * dt)
-        else:
-            vx, vy = self.base_lin_vel[0], self.base_lin_vel[1]
-
+        h, servo = robot.height_nominal, self.servo_factor
         bx, by, bz = self.base_pos
-        dz = (robot.height_nominal - bz) * self.servo_factor
-        self.base_pos = (bx + vx * dt, by + vy * dt, bz + dz)
+        vx, vy, _ = self.base_lin_vel
+        prev = self._feet
+        for feet in zip(*paths):
+            n_stance = 0
+            sx = sy = 0.0
+            contacts = []
+            for (x, y, z), (px, py, _) in zip(feet, prev):
+                contact = bz + z <= CONTACT_TOL
+                contacts.append(contact)
+                if contact:
+                    n_stance += 1
+                    sx += x - px
+                    sy += y - py
+            if n_stance > 0:
+                vx = -sx / (n_stance * dt)
+                vy = -sy / (n_stance * dt)
+            dz = (h - bz) * servo
+            bx, by, bz = bx + vx * dt, by + vy * dt, bz + dz
+            prev = feet
+        self._feet = prev
+        self.foot_contacts = tuple(contacts)
+        self.base_pos = (bx, by, bz)
         self.base_lin_vel = (vx, vy, dz / dt)
 
 
@@ -318,8 +350,7 @@ class QuadrupedEnv:
             targets[i] = FootTarget(x, y, z)
 
         x0 = backend.base_pos[0]
-        for row in q_des:
-            backend.advance(row)
+        backend.advance(q_des)
 
         f_x = backend.base_pos[0] - x0
         qdot = [v for leg in backend.joint_velocities for v in leg]

@@ -63,7 +63,16 @@ class OutOfWorkspaceError(ValueError):
 
 @dataclass(frozen=True)
 class LegGeometry:
-    """Geometry of one leg: attachment, lateral offset and link lengths."""
+    """Geometry of one leg: attachment, lateral offset and link lengths.
+
+    Construction also sets the analytical IK's per-leg constants, which
+    `_solve_3dof`/`_solve_4dof` read and `batch._Legs` stacks: `dd`, the
+    squared abduction offset, its clamp bound `dd_in` and `elbow_down`; on
+    3-DoF legs the reach bounds `lo`/`hi`, their clamp bounds `lo_in`/`hi_out`
+    and the law-of-cosines terms `l1l1`, `l2l2`, `two_l1l2`; on 4-DoF legs
+    the knee quadratic's `qb`, `qk0`, `qbqb`, `four_qa`, `two_qa` and the
+    discriminant's clamp bound `disc_in`.
+    """
 
     hip_offset: Tuple[float, float, float]  # body frame -> hip joint, m
     abd_offset: float                       # signed lateral hip->leg-plane, m
@@ -83,6 +92,25 @@ class LegGeometry:
             raise ValueError(f"abd_offset must be finite, got {self.abd_offset}")
         if self.knee_config not in (ELBOW_UP, ELBOW_DOWN):
             raise ValueError(f"unknown knee_config {self.knee_config!r}")
+        # the IK constants, each the expression a solver would evaluate per call
+        d, links = self.abd_offset, self.link_lengths
+        l1, l2 = links[:2]
+        dd = d * d
+        consts = {"dd": dd, "dd_in": dd * (1.0 - _CLAMP_TOL),
+                  "elbow_down": self.knee_config == ELBOW_DOWN}
+        if len(links) == 2:
+            lo, hi = abs(l1 - l2), l1 + l2
+            consts.update(lo=lo, hi=hi, lo_in=lo * (1.0 - _CLAMP_TOL),
+                          hi_out=hi * (1.0 + _CLAMP_TOL), l1l1=l1 * l1, l2l2=l2 * l2,
+                          two_l1l2=2.0 * l1 * l2)
+        else:
+            l3 = links[2]
+            qa, qb = 4.0 * l1 * l2, 2.0 * (l1 + l2) * l3
+            consts.update(qb=qb, qk0=l1 * l1 + l2 * l2 + l3 * l3 - 2.0 * l1 * l2,
+                          qbqb=qb * qb, four_qa=4.0 * qa, two_qa=2.0 * qa,
+                          disc_in=-_CLAMP_TOL * qb * qb)
+        for name, value in consts.items():
+            object.__setattr__(self, name, value)   # frozen: set once, here
 
     @property
     def dof(self) -> int:
@@ -124,39 +152,34 @@ def fk_leg(geom: LegGeometry, q: Sequence[float]) -> FootTarget:
     return FootTarget(*_foot_in_hip(geom.link_lengths, geom.abd_offset, q))
 
 
-def _abduction(d: float, y: float, z: float):
-    """Abduction angle placing the leg plane through (y, z); returns
-    (q_abd, planar_z, clamped)."""
+def _solve_3dof(geom: LegGeometry, x: float, y: float, z: float):
+    """Closed-form 3-DoF solution; returns (q, clamped)."""
+    # abduction: the leg plane through (y, z), clamped to the abduction circle
+    d, dd = geom.abd_offset, geom.dd
     rr = y * y + z * z
-    dd = d * d
     clamped = False
     if rr < dd:
-        # target inside the abduction circle: clamp to the circle
-        clamped = rr < dd * (1.0 - _CLAMP_TOL)
+        clamped = rr < geom.dd_in
         rr = dd
     z_leg = -math.sqrt(rr - dd)
     ratio = d / math.sqrt(rr) if rr > 0.0 else 1.0
-    ratio = min(1.0, max(-1.0, ratio))
+    if not ratio > -1.0:   # min(1.0, max(-1.0, ratio)), NaN to -1.0 as well
+        ratio = -1.0
+    elif ratio > 1.0:
+        ratio = 1.0
     q_abd = math.atan2(z, y) + math.acos(ratio)
     # wrap to (-pi, pi] for a continuous solution around zero
     q_abd = math.atan2(math.sin(q_abd), math.cos(q_abd))
-    return q_abd, z_leg, clamped
-
-
-def _solve_3dof(geom: LegGeometry, x: float, y: float, z: float):
-    """Closed-form 3-DoF solution; returns (q, clamped)."""
-    l1, l2 = geom.link_lengths
-    q_abd, z_leg, clamped = _abduction(geom.abd_offset, y, z)
 
     rho = math.hypot(x, z_leg)
-    lo, hi = abs(l1 - l2), l1 + l2
+    lo, hi = geom.lo, geom.hi
     if rho > hi:
-        if rho > hi * (1.0 + _CLAMP_TOL):
+        if rho > geom.hi_out:
             clamped = True
         scale = hi / rho
         x, z_leg, rho = x * scale, z_leg * scale, hi
     elif rho < lo:
-        if rho < lo * (1.0 - _CLAMP_TOL):
+        if rho < geom.lo_in:
             clamped = True
         if rho > 0.0:
             scale = lo / rho
@@ -164,12 +187,16 @@ def _solve_3dof(geom: LegGeometry, x: float, y: float, z: float):
         else:
             x, z_leg, rho = 0.0, -lo, lo
 
-    cos_knee = (rho * rho - l1 * l1 - l2 * l2) / (2.0 * l1 * l2)
-    cos_knee = min(1.0, max(-1.0, cos_knee))
+    cos_knee = (rho * rho - geom.l1l1 - geom.l2l2) / geom.two_l1l2
+    if not cos_knee > -1.0:
+        cos_knee = -1.0
+    elif cos_knee > 1.0:
+        cos_knee = 1.0
     knee = math.acos(cos_knee)
-    if geom.knee_config == ELBOW_DOWN:
+    if geom.elbow_down:
         knee = -knee
 
+    l1, l2 = geom.link_lengths
     a = l1 + l2 * math.cos(knee)
     b = l2 * math.sin(knee)
     hip = math.atan2(-x, -z_leg) - math.atan2(b, a)
@@ -179,20 +206,30 @@ def _solve_3dof(geom: LegGeometry, x: float, y: float, z: float):
 
 def _solve_4dof(geom: LegGeometry, x: float, y: float, z: float):
     """Closed-form 4-DoF solution with the -0.5 knee-foot coupling."""
-    l1, l2, l3 = geom.link_lengths
-    q_abd, z_leg, clamped = _abduction(geom.abd_offset, y, z)
+    # abduction, as in _solve_3dof
+    d, dd = geom.abd_offset, geom.dd
+    rr = y * y + z * z
+    clamped = False
+    if rr < dd:
+        clamped = rr < geom.dd_in
+        rr = dd
+    z_leg = -math.sqrt(rr - dd)
+    ratio = d / math.sqrt(rr) if rr > 0.0 else 1.0
+    if not ratio > -1.0:
+        ratio = -1.0
+    elif ratio > 1.0:
+        ratio = 1.0
+    q_abd = math.atan2(z, y) + math.acos(ratio)
+    q_abd = math.atan2(math.sin(q_abd), math.cos(q_abd))
 
-    rho2 = x * x + z_leg * z_leg
     # quadratic in c = cos(psi), psi = knee / 2
-    qa = 4.0 * l1 * l2
-    qb = 2.0 * (l1 + l2) * l3
-    qk = l1 * l1 + l2 * l2 + l3 * l3 - 2.0 * l1 * l2 - rho2
-    disc = qb * qb - 4.0 * qa * qk
+    qk = geom.qk0 - (x * x + z_leg * z_leg)
+    disc = geom.qbqb - geom.four_qa * qk
     if disc < 0.0:
-        if disc < -_CLAMP_TOL * qb * qb:
+        if disc < geom.disc_in:
             clamped = True
         disc = 0.0
-    c = (-qb + math.sqrt(disc)) / (2.0 * qa)
+    c = (-geom.qb + math.sqrt(disc)) / geom.two_qa
     if c > 1.0:
         if c > 1.0 + _CLAMP_TOL:
             clamped = True
@@ -202,12 +239,13 @@ def _solve_4dof(geom: LegGeometry, x: float, y: float, z: float):
         c = -1.0
 
     psi = math.acos(c)
-    if geom.knee_config == ELBOW_DOWN:
+    if geom.elbow_down:
         psi = -psi
     knee = 2.0 * psi
     foot = FOOT_COUPLING_RATIO * knee
 
     # planar position is (A sin, B cos)-linear in the hip angle
+    l1, l2, l3 = geom.link_lengths
     a = l1 + l3 * math.cos(psi) + l2 * math.cos(2.0 * psi)
     b = l3 * math.sin(psi) + l2 * math.sin(2.0 * psi)
     u, v = -x, -z_leg

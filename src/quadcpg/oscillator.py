@@ -124,14 +124,17 @@ def clamp_command(raw: Sequence[float]) -> CpgCommand:
     Idempotent.  Non-finite entries are rejected rather than clipped so a
     NaN action can never be laundered into a legal command.
     """
-    values = [float(v) for v in raw]
+    values = list(map(float, raw))
     if len(values) != 8:
         raise InvalidCommandError(f"command must have 8 entries, got {len(values)}")
-    if not all(math.isfinite(v) for v in values):
+    if not all(map(math.isfinite, values)):
         raise InvalidCommandError(f"non-finite command entries in {values!r}")
-    mu = tuple(min(max(v, MU_MIN), MU_MAX) for v in values[:4])
-    omega = tuple(min(max(v, OMEGA_MIN_HZ), OMEGA_MAX_HZ) for v in values[4:])
-    return CpgCommand(mu, omega)
+    m0, m1, m2, m3, w0, w1, w2, w3 = values   # unpacked: cheaper than a loop per step
+    return CpgCommand(
+        (min(max(m0, MU_MIN), MU_MAX), min(max(m1, MU_MIN), MU_MAX),
+         min(max(m2, MU_MIN), MU_MAX), min(max(m3, MU_MIN), MU_MAX)),
+        (min(max(w0, OMEGA_MIN_HZ), OMEGA_MAX_HZ), min(max(w1, OMEGA_MIN_HZ), OMEGA_MAX_HZ),
+         min(max(w2, OMEGA_MIN_HZ), OMEGA_MAX_HZ), min(max(w3, OMEGA_MIN_HZ), OMEGA_MAX_HZ)))
 
 
 def closed_form_amplitude(mu: float, alpha: float, r0: float, r0_dot: float,

@@ -208,5 +208,5 @@ def read_record_csv(path: str):
             columns = next(reader)
         except StopIteration:
             raise ValueError(f"record file {path!r} is empty") from None
-        rows = [[float(v) for v in row] for row in reader]
+        rows = [list(map(float, row)) for row in reader]
     return columns, rows

@@ -10,7 +10,8 @@ from quadcpg.environment import (ACTION_SIZE, CONTROL_DT, FALL_ANGLE_LIMIT, N_SU
                                  compute_reward)
 from quadcpg.foot_trajectory import FootTarget, foot_target, leg_pf_params
 from quadcpg.kinematics import fk_all_feet, ik_leg_clamped
-from quadcpg.oscillator import TROT_PHASES, InvalidCommandError, clamp_command, step_oscillator
+from quadcpg.oscillator import (DT_INTEGRATION, TROT_PHASES, InvalidCommandError,
+                                clamp_command, step_oscillator)
 from quadcpg.registry import builtin_registry
 
 REG = builtin_registry()
@@ -167,14 +168,55 @@ class TestStep:
                 assert obs.foot_contacts[i]
 
 
+def substep_advance(backend, q_des):
+    """KinematicBackend.advance as it was before it took a whole control
+    step: one substep per call, every leg's FK through fk_all_feet and the
+    torques stored at every substep.  Returns the number of stance feet."""
+    robot = backend.robot
+    kp, kd = robot.kp, robot.kd
+    a, dt = backend.lag_factor, DT_INTEGRATION
+    q_all = backend.joint_positions
+    for q, qd, trq, des in zip(q_all, backend.joint_velocities,
+                               backend.joint_torques, q_des):
+        for j in range(len(q)):
+            e = des[j] - q[j]
+            trq[j] = kp * e - kd * qd[j]
+            dq = e * a
+            q[j] += dq
+            qd[j] = dq / dt
+    feet_prev = backend._feet
+    feet = fk_all_feet(robot, q_all)
+    backend._feet = feet
+    contacts = backend._compute_contacts()
+    backend.foot_contacts = contacts
+    n_stance = 0
+    sx = sy = 0.0
+    for i in range(4):
+        if contacts[i]:
+            n_stance += 1
+            sx += feet[i][0] - feet_prev[i][0]
+            sy += feet[i][1] - feet_prev[i][1]
+    if n_stance > 0:
+        vx = -sx / (n_stance * dt)
+        vy = -sy / (n_stance * dt)
+    else:
+        vx, vy = backend.base_lin_vel[0], backend.base_lin_vel[1]
+    bx, by, bz = backend.base_pos
+    dz = (robot.height_nominal - bz) * backend.servo_factor
+    backend.base_pos = (bx + vx * dt, by + vy * dt, bz + dz)
+    backend.base_lin_vel = (vx, vy, dz / dt)
+    return n_stance
+
+
 def substep_loop_step(env, action):
     """QuadrupedEnv.step as the per-substep loop it replaced: each substep
     steps the four oscillators, forms their foot targets, solves their IK
-    and advances the backend once."""
+    and advances the backend by `substep_advance`.  Returns step's four
+    outputs and the number of substeps with no stance foot."""
     cmd = clamp_command(action)
     backend, cpg, legs = env.backend, env._cpg, env.robot.legs
     x0 = backend.base_pos[0]
-    violations = 0
+    violations = flights = 0
     targets = [None] * 4
     for _ in range(N_SUBSTEPS):
         q_des = []
@@ -184,7 +226,7 @@ def substep_loop_step(env, action):
             q, clamped = ik_leg_clamped(legs[i], targets[i])
             violations += clamped
             q_des.append(q)
-        backend.advance(q_des)
+        flights += substep_advance(backend, q_des) == 0
     qdot = [v for leg in backend.joint_velocities for v in leg]
     tau = [t for leg in backend.joint_torques for t in leg]
     terms = compute_reward(backend.base_pos[0] - x0, env.d_max, backend.base_rpy, tau,
@@ -198,7 +240,14 @@ def substep_loop_step(env, action):
     obs = build_observation(env.robot, backend, cpg, env._prev_action)
     info = {"terms": terms, "workspace_violations": violations,
             "foot_targets": tuple(targets), "command": cmd}
-    return obs, terms.total, env.done, info
+    return (obs, terms.total, env.done, info), flights
+
+
+def backend_state(backend):
+    """Every field of the backend's state, as repr (which tells -0.0 from 0.0)."""
+    return repr((backend.joint_positions, backend.joint_velocities,
+                 backend.joint_torques, backend.base_pos, backend.base_lin_vel,
+                 backend.foot_contacts))
 
 
 class TestStepEqualsSubstepLoop:
@@ -208,29 +257,58 @@ class TestStepEqualsSubstepLoop:
     def test_every_robot(self, name):
         robot = REG.get(name)
         rng = random.Random(name)
-        phases = [rng.uniform(-7.0, 7.0) for _ in range(4)]
-        env, ref = QuadrupedEnv(robot), QuadrupedEnv(robot)
-        assert env.reset(initial_phases=phases) == ref.reset(initial_phases=phases)
-        for leg, pf, q in zip(robot.legs, leg_pf_params(robot), env.backend.joint_positions):
-            standing = FootTarget(pf.x_off, pf.y_nominal, pf.z_off - pf.h)
-            assert list(ik_leg_clamped(leg, standing)[0]) == q
         # unequal per-leg commands, some clamping the IK, some outside the box
         actions = [(4.0, 3.5, 0.7, 2.0, 5.0, 4.5, 1.0, 0.0),
                    (9.0, -1.0, 4.0, 0.5, 7.0, -2.0, 5.0, 2.5)]
         actions += [[rng.uniform(-1.0, 6.0) for _ in range(4)]
                     + [rng.uniform(-2.0, 7.0) for _ in range(4)] for _ in range(30)]
-        clamped = 0
-        for action in actions:
-            obs, reward, done, info = env.step(action)
-            ref_obs, ref_reward, ref_done, ref_info = substep_loop_step(ref, action)
-            assert tuple(obs.to_array()) == tuple(ref_obs.to_array())
-            assert (reward, done, info) == (ref_reward, ref_done, ref_info)
-            assert env.cpg_states == ref.cpg_states
-            clamped += info["workspace_violations"]
-            if done:
-                break
+        # then a pronk, its four feet in swing together: substeps with no
+        # stance foot, where the base holds its planar velocity
+        pronk = [(2.0,) * 4 + (3.0,) * 4] * 20
+        clamped = flights = 0
+        for phases, episode in (([rng.uniform(-7.0, 7.0) for _ in range(4)], actions),
+                                ([rng.uniform(-7.0, 7.0)] * 4, pronk)):
+            env, ref = QuadrupedEnv(robot), QuadrupedEnv(robot)
+            assert env.reset(initial_phases=phases) == ref.reset(initial_phases=phases)
+            for action in episode:
+                obs, reward, done, info = env.step(action)
+                (ref_obs, ref_reward, ref_done, ref_info), ref_flights = substep_loop_step(
+                    ref, action)
+                assert tuple(obs.to_array()) == tuple(ref_obs.to_array())
+                assert (reward, done, info) == (ref_reward, ref_done, ref_info)
+                assert env.cpg_states == ref.cpg_states
+                assert backend_state(env.backend) == backend_state(ref.backend)
+                clamped += info["workspace_violations"]
+                flights += ref_flights
+                if done:
+                    break
+        assert flights > 0
         if name == "A1":
             assert clamped > 0   # strides at mu near 4 leave A1's workspace
+
+    def test_reset_stands_on_the_pattern_formation_set_point(self):
+        for robot in REG:
+            env = QuadrupedEnv(robot)
+            env.reset()
+            for leg, pf, q in zip(robot.legs, leg_pf_params(robot),
+                                  env.backend.joint_positions):
+                standing = FootTarget(pf.x_off, pf.y_nominal, pf.z_off - pf.h)
+                assert list(ik_leg_clamped(leg, standing)[0]) == q
+
+    def test_backend_advances_once_per_step(self, monkeypatch):
+        rows = []
+        advance = environment.KinematicBackend.advance
+
+        def counted(backend, q_des):
+            rows.append(len(q_des))
+            advance(backend, q_des)
+
+        monkeypatch.setattr(environment.KinematicBackend, "advance", counted)
+        env = make_env()
+        env.reset(seed=0)
+        for _ in range(3):
+            env.step(TROT_ACTION)
+        assert rows == [N_SUBSTEPS] * 3
 
 
 class TestDeterminism:
@@ -292,9 +370,9 @@ class TestKinematicBackend:
         env = QuadrupedEnv(A1)
         env.reset(seed=0)
         backend = env.backend
-        q_hold = [list(q) for q in backend.joint_positions]
-        for _ in range(100):
-            backend.advance(q_hold)
+        hold = [[list(q) for q in backend.joint_positions]] * N_SUBSTEPS
+        for _ in range(10):
+            backend.advance(hold)
         assert backend.base_lin_vel[0] == pytest.approx(0.0, abs=1e-12)
         assert backend.base_pos[0] == pytest.approx(0.0, abs=1e-12)
 

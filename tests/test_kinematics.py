@@ -7,9 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quadcpg.foot_trajectory import FootTarget
-from quadcpg.kinematics import (ELBOW_DOWN, ELBOW_UP, FOOT_COUPLING_RATIO,
-                                LegGeometry, OutOfWorkspaceError, fk_all_feet,
-                                fk_leg, ik_leg, ik_leg_clamped)
+from quadcpg.kinematics import (_CLAMP_TOL, ELBOW_DOWN, ELBOW_UP, FOOT_COUPLING_RATIO,
+                                LegGeometry, OutOfWorkspaceError, _solve_3dof,
+                                _solve_4dof, fk_all_feet, fk_leg, ik_leg, ik_leg_clamped)
 from quadcpg.registry import builtin_registry
 
 GEOM3_UP = LegGeometry(hip_offset=(0.0, 0.0, 0.0), abd_offset=0.05,
@@ -286,3 +286,170 @@ class TestRoundTripProperties:
         feet = fk_all_feet(robot, q_all)
         for leg, q, foot in zip(robot.legs, q_all, feet):
             assert tuple(f + h for f, h in zip(fk_leg(leg, q), leg.hip_offset)) == foot
+
+
+def old_abduction(d, y, z):
+    """The abduction step as the solvers ran it before their per-leg constants."""
+    rr = y * y + z * z
+    dd = d * d
+    clamped = False
+    if rr < dd:
+        clamped = rr < dd * (1.0 - _CLAMP_TOL)
+        rr = dd
+    z_leg = -math.sqrt(rr - dd)
+    ratio = d / math.sqrt(rr) if rr > 0.0 else 1.0
+    ratio = min(1.0, max(-1.0, ratio))
+    q_abd = math.atan2(z, y) + math.acos(ratio)
+    q_abd = math.atan2(math.sin(q_abd), math.cos(q_abd))
+    return q_abd, z_leg, clamped
+
+
+def old_solve_3dof(geom, x, y, z):
+    """_solve_3dof as it was, computing its constants on every call."""
+    l1, l2 = geom.link_lengths
+    q_abd, z_leg, clamped = old_abduction(geom.abd_offset, y, z)
+    rho = math.hypot(x, z_leg)
+    lo, hi = abs(l1 - l2), l1 + l2
+    if rho > hi:
+        if rho > hi * (1.0 + _CLAMP_TOL):
+            clamped = True
+        scale = hi / rho
+        x, z_leg, rho = x * scale, z_leg * scale, hi
+    elif rho < lo:
+        if rho < lo * (1.0 - _CLAMP_TOL):
+            clamped = True
+        if rho > 0.0:
+            scale = lo / rho
+            x, z_leg, rho = x * scale, z_leg * scale, lo
+        else:
+            x, z_leg, rho = 0.0, -lo, lo
+    cos_knee = (rho * rho - l1 * l1 - l2 * l2) / (2.0 * l1 * l2)
+    cos_knee = min(1.0, max(-1.0, cos_knee))
+    knee = math.acos(cos_knee)
+    if geom.knee_config == ELBOW_DOWN:
+        knee = -knee
+    a = l1 + l2 * math.cos(knee)
+    b = l2 * math.sin(knee)
+    hip = math.atan2(-x, -z_leg) - math.atan2(b, a)
+    hip = math.atan2(math.sin(hip), math.cos(hip))
+    return (q_abd, hip, knee), clamped
+
+
+def old_solve_4dof(geom, x, y, z):
+    """_solve_4dof as it was, computing its constants on every call."""
+    l1, l2, l3 = geom.link_lengths
+    q_abd, z_leg, clamped = old_abduction(geom.abd_offset, y, z)
+    rho2 = x * x + z_leg * z_leg
+    qa = 4.0 * l1 * l2
+    qb = 2.0 * (l1 + l2) * l3
+    qk = l1 * l1 + l2 * l2 + l3 * l3 - 2.0 * l1 * l2 - rho2
+    disc = qb * qb - 4.0 * qa * qk
+    if disc < 0.0:
+        if disc < -_CLAMP_TOL * qb * qb:
+            clamped = True
+        disc = 0.0
+    c = (-qb + math.sqrt(disc)) / (2.0 * qa)
+    if c > 1.0:
+        if c > 1.0 + _CLAMP_TOL:
+            clamped = True
+        c = 1.0
+    elif c < -1.0:
+        clamped = True
+        c = -1.0
+    psi = math.acos(c)
+    if geom.knee_config == ELBOW_DOWN:
+        psi = -psi
+    knee = 2.0 * psi
+    foot = FOOT_COUPLING_RATIO * knee
+    a = l1 + l3 * math.cos(psi) + l2 * math.cos(2.0 * psi)
+    b = l3 * math.sin(psi) + l2 * math.sin(2.0 * psi)
+    u, v = -x, -z_leg
+    if clamped:
+        norm = math.hypot(u, v)
+        if norm == 0.0:
+            u, v = 0.0, math.hypot(a, b)
+        else:
+            scale = math.hypot(a, b) / norm
+            u, v = u * scale, v * scale
+    hip = math.atan2(u, v) - math.atan2(b, a)
+    hip = math.atan2(math.sin(hip), math.cos(hip))
+    return (q_abd, hip, knee, foot), clamped
+
+
+def outcome(solve, geom, target):
+    """A solver's result, or the type of what it raised, as repr: NaN-aware
+    and telling -0.0 from 0.0."""
+    try:
+        return repr(solve(geom, *target))
+    except (ValueError, OverflowError) as err:
+        return type(err).__name__
+
+
+@st.composite
+def geometry_and_target(draw):
+    """A random valid leg and a target: anywhere, inside the abduction
+    circle, beyond reach, within a few 1e-9 of either boundary (where the
+    clamp tolerance decides the flag), on the abduction circle straight
+    below (rho == 0) or with a non-finite coordinate."""
+    n_links = draw(st.sampled_from([2, 3]))
+    geom = LegGeometry(
+        hip_offset=(0.0, 0.0, 0.0),
+        abd_offset=draw(st.sampled_from([0.0]) | st.floats(-0.15, 0.15)),
+        link_lengths=tuple(draw(st.floats(0.02, 0.5)) for _ in range(n_links)),
+        knee_config=draw(st.sampled_from([ELBOW_UP, ELBOW_DOWN])))
+    d, reach = geom.abd_offset, geom.max_reach
+    angle = draw(st.floats(-math.pi, math.pi))
+    kind = draw(st.sampled_from(["any", "inside", "beyond", "rim", "reach", "rho0",
+                                 "non-finite"]))
+    near_one = 1.0 + draw(st.floats(-3e-9, 3e-9))
+    x = draw(st.floats(-1.0, 1.0))
+    if kind == "any":
+        y, z = draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))
+    elif kind == "inside":
+        radius = abs(d) * draw(st.floats(0.0, 1.0, exclude_max=True))
+        y, z = radius * math.cos(angle), radius * math.sin(angle)
+    elif kind == "rim":
+        y, z = d * near_one * math.cos(angle), d * near_one * math.sin(angle)
+    elif kind in ("beyond", "reach"):
+        scale = draw(st.floats(1.0, 4.0)) if kind == "beyond" else near_one
+        x, y, z = (reach * scale * math.sin(angle), d,
+                   -reach * scale * math.cos(angle))
+    elif kind == "rho0":
+        x, y, z = 0.0, d * math.cos(angle), d * math.sin(angle)
+    else:
+        y, z = draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))
+        coords = [x, y, z]
+        coords[draw(st.integers(0, 2))] = draw(st.sampled_from(
+            [math.nan, math.inf, -math.inf]))
+        x, y, z = coords
+    return geom, (x, y, z)
+
+
+class TestSolversEqualTheirPerCallForm:
+    """The solvers that read LegGeometry's constants == the per-call ones."""
+
+    @settings(max_examples=1500, deadline=None)
+    @given(geometry_and_target())
+    def test_random_geometries_and_targets(self, case):
+        geom, target = case
+        old = old_solve_3dof if geom.dof == 3 else old_solve_4dof
+        new = _solve_3dof if geom.dof == 3 else _solve_4dof
+        assert outcome(new, geom, target) == outcome(old, geom, target)
+
+    @pytest.mark.parametrize("geom", [GEOM3_UP, GEOM3_DOWN])
+    def test_nan_cos_knee_clamps_to_minus_one(self, geom):
+        # x = NaN leaves rho NaN, so no reach branch runs and cos_knee is
+        # NaN; min(1.0, max(-1.0, NaN)) is -1.0, the folded knee
+        q, _ = _solve_3dof(geom, math.nan, 0.05, -0.3)
+        assert q[2] == (math.pi if geom.knee_config == ELBOW_UP else -math.pi)
+
+    def test_every_builtin_leg(self):
+        rng = random.Random(29)
+        for robot in builtin_registry():
+            for geom in robot.legs:
+                old = old_solve_3dof if geom.dof == 3 else old_solve_4dof
+                new = _solve_3dof if geom.dof == 3 else _solve_4dof
+                for _ in range(200):
+                    target = (rng.uniform(-0.6, 0.6), rng.uniform(-0.3, 0.3),
+                              rng.uniform(-0.9, 0.2))
+                    assert outcome(new, geom, target) == outcome(old, geom, target)

@@ -3,11 +3,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadcpg.environment import CONTROL_DT, N_SUBSTEPS
-from quadcpg.oscillator import (ALPHA, DT_INTEGRATION, MU_MAX, MU_MIN, TWO_PI,
-                                CpgConfig, InvalidCommandError, OscillatorState,
-                                advance, clamp_command, closed_form_amplitude, init_cpg,
+from quadcpg.oscillator import (ALPHA, DT_INTEGRATION, MU_MAX, MU_MIN, OMEGA_MAX_HZ,
+                                OMEGA_MIN_HZ, TWO_PI, CpgCommand, CpgConfig,
+                                InvalidCommandError, OscillatorState, advance,
+                                clamp_command, closed_form_amplitude, init_cpg,
                                 step_oscillator)
 
 
@@ -82,6 +85,39 @@ class TestClampCommand:
     def test_wrong_length_rejected(self):
         with pytest.raises(InvalidCommandError):
             clamp_command([1.0] * 7)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.floats(-10.0, 10.0), min_size=8, max_size=8))
+    def test_idempotent(self, raw):
+        cmd = clamp_command(raw)
+        assert repr(clamp_command(cmd.mu + cmd.omega)) == repr(cmd)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.floats() | st.integers(-10, 10) | st.booleans()
+                    | st.sampled_from(["1.5", "-0.0", "nan", "inf", "x", None]),
+                    min_size=6, max_size=10))
+    def test_equals_its_loop_form(self, raw):
+        assert command_outcome(clamp_command, raw) == command_outcome(loop_clamp_command, raw)
+
+
+def loop_clamp_command(raw):
+    """clamp_command as it was written before its clamps were unpacked."""
+    values = [float(v) for v in raw]
+    if len(values) != 8:
+        raise InvalidCommandError(f"command must have 8 entries, got {len(values)}")
+    if not all(math.isfinite(v) for v in values):
+        raise InvalidCommandError(f"non-finite command entries in {values!r}")
+    mu = tuple(min(max(v, MU_MIN), MU_MAX) for v in values[:4])
+    omega = tuple(min(max(v, OMEGA_MIN_HZ), OMEGA_MAX_HZ) for v in values[4:])
+    return CpgCommand(mu, omega)
+
+
+def command_outcome(clamp, raw):
+    """The command as repr (which tells -0.0 from 0.0), or what was raised."""
+    try:
+        return repr(clamp(raw))
+    except (InvalidCommandError, TypeError, ValueError) as err:
+        return type(err).__name__, str(err)
 
 
 class TestClosedForm:

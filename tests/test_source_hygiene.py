@@ -170,6 +170,25 @@ def test_each_fact_has_one_owner():
     assert readers_in_src("l_clrnc") == [
         ("batch.py", "foot_targets"), ("foot_trajectory.py", "foot_xz"),
         ("registry.py", "_entry_from_descriptor")]
+    # the IK's per-leg constants: computed once per LegGeometry, read elsewhere
+    for expr in IK_CONSTANTS:
+        assert computations_in_src(expr) == [("kinematics.py", "__post_init__")], expr
+
+
+#: The IK's 3-DoF reach bound, 4-DoF quadratic coefficient and constant term.
+IK_CONSTANTS = ("l1 - l2", "4.0 * l1 * l2", "l1 * l1 + l2 * l2 + l3 * l3 - 2.0 * l1 * l2")
+
+
+def computations_in_src(expr):
+    return [(path.name, fn) for path in MODULES
+            for fn in computations_of(expr, path.read_text())]
+
+
+def computations_of(expr, source):
+    """Every function that evaluates `expr` (as `ast.unparse` writes it)."""
+    return [fn.name for fn in ast.walk(ast.parse(source))
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                isinstance(n, ast.BinOp) and ast.unparse(n) == expr for n in ast.walk(fn))]
 
 
 def readers_in_src(field):
@@ -195,6 +214,14 @@ def readers_of(field, source):
     "def step(z0, l_clrnc, s):\n    return z0 + l_clrnc * s"])
 def test_reader_guard_catches_a_forked_pattern_formation(fork):
     assert readers_of("l_clrnc", fork) == ["step"]
+
+
+@pytest.mark.parametrize("fork", [
+    "def ik(l1, l2):\n    return abs(l1 - l2)",
+    "def ik(self):\n    l1, l2 = self.links[:2]\n    self.qa = 4.0*l1*l2",
+    "def ik(l1, l2, l3, r):\n    return l1*l1 + l2*l2 + l3*l3 - 2.0*l1*l2 - r"])
+def test_computation_guard_catches_a_second_ik_constant(fork):
+    assert any(computations_of(expr, fork) == ["ik"] for expr in IK_CONSTANTS)
 
 
 def _distribution_key(name):
