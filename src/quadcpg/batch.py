@@ -25,7 +25,6 @@ import numpy as np
 
 from .environment import (CONTACT_TOL, N_SUBSTEPS, W_FORWARD, W_ORIENTATION, W_POWER,
                           QuadrupedEnv, sum_in_order)
-from .foot_trajectory import leg_pf_params
 from .kinematics import _CLAMP_TOL, FOOT_COUPLING_RATIO
 from .oscillator import DT_INTEGRATION, TROT_PHASES, TWO_PI, advance, clamp_command
 from .registry import RobotDescriptor
@@ -146,7 +145,7 @@ def foot_targets(robot: RobotDescriptor, r, theta) -> np.ndarray:
     x = pf.x_off - pf.l_step * r * np.cos(theta)
     z = np.where(s > 0.0, pf.z_off - pf.h + pf.l_clrnc * s,
                  pf.z_off - pf.h + pf.l_pntr * s)
-    y = np.broadcast_to([p.y_nominal for p in leg_pf_params(robot)], theta.shape)
+    y = np.broadcast_to([leg.abd_offset for leg in robot.legs], theta.shape)
     return np.stack((x, y, z), axis=-1)
 
 

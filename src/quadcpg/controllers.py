@@ -1,10 +1,10 @@
 """Scripted command sources and a black-box search over constant commands.
 
 Any callable mapping an Observation to a raw 8-vector can drive the
-environment; the PolicyAdapter protocol below is the contract an
-external learned policy plugs into.  The search is a desk-scale stand-in
-for policy optimization: it samples constant (mu, omega) commands shared
-across limbs, with the phase structure fixed to a trot.
+environment; `rollout.run_rollout` states that policy contract.  The
+search is a desk-scale stand-in for policy optimization: it samples
+constant (mu, omega) commands shared across limbs, with the phase
+structure fixed to a trot.
 """
 
 from __future__ import annotations
@@ -12,24 +12,13 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from typing import List, Protocol, Sequence, Tuple
+from typing import List, Tuple
 
 from .batch import check_horizon, evaluate_batch
 from .environment import QuadrupedEnv
 from .oscillator import (MU_MAX, MU_MIN, OMEGA_MAX_HZ, OMEGA_MIN_HZ, TROT_PHASES,
                          check_command_box)
 from .registry import RobotDescriptor
-
-
-class PolicyAdapter(Protocol):
-    """Observation (49 reals) -> raw action (8 reals).
-
-    Outputs must be finite; the environment clamps them regardless.  An
-    adapter may expose `initial_phases` to request specific oscillator
-    phase offsets at reset.
-    """
-
-    def __call__(self, observation) -> Sequence[float]: ...
 
 
 class ConstantCommandPolicy:

@@ -46,7 +46,7 @@ from typing import Iterable, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .foot_trajectory import FootTarget, foot_target, foot_xz, leg_pf_params
+from .foot_trajectory import FootTarget, foot_target, foot_xz
 from .kinematics import _foot_in_hip, _solve_3dof, _solve_4dof, fk_all_feet
 from .oscillator import (DT_INTEGRATION, TROT_PHASES, TWO_PI, OscillatorState,
                          advance, clamp_command, init_cpg)
@@ -172,8 +172,7 @@ class KinematicBackend:
     def __init__(self, robot: RobotDescriptor):
         self.robot = robot
         dt = DT_INTEGRATION
-        tau_lag = min(max(max(robot.kd / robot.kp, 1e-6), dt), LAG_TAU_MAX)
-        self.lag_factor = dt / max(tau_lag, dt)
+        self.lag_factor = dt / min(max(robot.kd / robot.kp, dt), LAG_TAU_MAX)
         self.servo_factor = min(1.0, dt / HEIGHT_SERVO_TAU)
         self.reset([[0.0] * robot.leg_dof for _ in range(4)])
 
@@ -292,9 +291,7 @@ class QuadrupedEnv:
         self.backend = KinematicBackend(robot)
         self.d_max = V_CAP * CONTROL_DT
         self.min_height = MIN_HEIGHT_FRAC * robot.height_nominal
-        self._pf = leg_pf_params(robot)
-        self._solvers = tuple(
-            _solve_3dof if leg.dof == 3 else _solve_4dof for leg in robot.legs)
+        self._solve = _solve_3dof if robot.leg_dof == 3 else _solve_4dof
         self._cpg = None
         self.time = 0.0
         self.done = False
@@ -307,11 +304,9 @@ class QuadrupedEnv:
         """
         robot = self.robot
         self._cpg = init_cpg(initial_phases)
-        q0 = []
-        for leg, pf, solve in zip(robot.legs, self._pf, self._solvers):
-            q, _ = solve(leg, *foot_target(_AT_REST, pf))
-            q0.append(list(q))
-        self.backend.reset(q0)
+        standing = (self._solve(leg, *foot_target(_AT_REST, robot.pf, leg.abd_offset))
+                    for leg in robot.legs)
+        self.backend.reset([q for q, _ in standing])
         self._prev_action = (0.0,) * ACTION_SIZE
         self._prev_qdot = [0.0] * robot.dof_total
         self.time = 0.0
@@ -331,14 +326,14 @@ class QuadrupedEnv:
         # Leg-major, exact because the chain takes no feedback (module docstring).
         backend = self.backend
         cpg = self._cpg
+        pf, solve = self.robot.pf, self._solve
         q_des = [[None] * 4 for _ in range(N_SUBSTEPS)]
         targets = [None] * 4
         workspace_violations = 0
-        for i, (leg, pf, solve) in enumerate(zip(self.robot.legs, self._pf,
-                                                 self._solvers)):
+        for i, leg in enumerate(self.robot.legs):
             mu_i, theta_dot = mu[i], TWO_PI * omega[i]
             r, r_dot, theta, _ = cpg[i]
-            y = pf.y_nominal
+            y = leg.abd_offset
             for row in q_des:
                 r, r_dot, theta = advance(r, r_dot, mu_i, theta_dot, theta)
                 x, z = foot_xz(r, theta, pf)

@@ -10,20 +10,18 @@ the sign of sin(theta):
     z = z_off - h + L_pntr  * sin(theta)   otherwise           (stance)
 
 Both branches meet at z_off - h when sin(theta) = 0, so z is continuous.
-The lateral coordinate is held at a fixed nominal offset; lateral motion
-is out of scope for this trajectory generator.
+The stride shape is per robot, shared by its four legs.  The lateral
+coordinate is the leg's abduction offset (`LegGeometry.abd_offset`), held
+fixed; lateral motion is out of scope for this trajectory generator.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import NamedTuple, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .oscillator import OscillatorState
-
-if TYPE_CHECKING:
-    from .registry import RobotDescriptor
 
 
 class FootTarget(NamedTuple):
@@ -36,18 +34,17 @@ class FootTarget(NamedTuple):
 
 @dataclass(frozen=True)
 class PfParams:
-    """Per-robot trajectory shaping parameters, SI meters."""
+    """One robot's stride shape, shared by its four legs, SI meters."""
 
     h: float          # nominal body height
     l_step: float     # nominal step length
     l_clrnc: float    # max swing ground clearance
     l_pntr: float     # max stance ground penetration
-    x_off: float = 0.0      # sagittal oscillation set-point
-    z_off: float = 0.0      # vertical set-point
-    y_nominal: float = 0.0  # lateral foot offset in the hip frame (signed)
+    x_off: float = 0.0   # sagittal oscillation set-point
+    z_off: float = 0.0   # vertical set-point
 
     def __post_init__(self):
-        for name in ("h", "l_step", "l_clrnc", "l_pntr", "x_off", "z_off", "y_nominal"):
+        for name in ("h", "l_step", "l_clrnc", "l_pntr", "x_off", "z_off"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.h > 0.0:
@@ -59,7 +56,7 @@ class PfParams:
 
 def foot_xz(r: float, theta: float, params: PfParams):
     """Pattern formation on floats: the (x, z) of one leg's foot target for
-    amplitude r and phase theta; its lateral y is params.y_nominal."""
+    amplitude r and phase theta; its lateral y is the leg's abduction offset."""
     s = math.sin(theta)
     x = params.x_off - params.l_step * r * math.cos(theta)
     if s > 0.0:
@@ -67,12 +64,7 @@ def foot_xz(r: float, theta: float, params: PfParams):
     return x, params.z_off - params.h + params.l_pntr * s
 
 
-def foot_target(state: OscillatorState, params: PfParams) -> FootTarget:
-    """Map one oscillator state to the desired foot position."""
+def foot_target(state: OscillatorState, params: PfParams, y: float) -> FootTarget:
+    """Map one oscillator state to the foot target of the leg at lateral offset y."""
     x, z = foot_xz(state.r, state.theta, params)
-    return FootTarget(x, params.y_nominal, z)
-
-
-def leg_pf_params(robot: "RobotDescriptor"):
-    """Per-leg PfParams: the robot's shape, each leg's signed lateral offset."""
-    return tuple(replace(robot.pf, y_nominal=leg.abd_offset) for leg in robot.legs)
+    return FootTarget(x, y, z)

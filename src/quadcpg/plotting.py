@@ -7,6 +7,7 @@ its own <g> group so the structure is machine-checkable.
 
 from __future__ import annotations
 
+import math
 from typing import List, Sequence
 
 from .oscillator import LIMBS
@@ -22,7 +23,7 @@ _GAP = 45
 
 
 class RecordFormatError(ValueError):
-    """Rollout record is empty or missing a required column."""
+    """Rollout record is empty, lacks a required column or plots a non-finite value."""
 
 
 def _column(columns: Sequence[str], rows, name: str) -> List[float]:
@@ -30,7 +31,11 @@ def _column(columns: Sequence[str], rows, name: str) -> List[float]:
         ix = columns.index(name)
     except ValueError:
         raise RecordFormatError(f"record is missing column {name!r}") from None
-    return [row[ix] for row in rows]
+    values = [row[ix] for row in rows]
+    for k, v in enumerate(values, 1):
+        if not math.isfinite(v):
+            raise RecordFormatError(f"column {name!r} holds {v!r} in data row {k}")
+    return values
 
 
 def _scale(values, lo_px, hi_px):

@@ -26,7 +26,8 @@ Registry files are YAML::
           link_lengths: [l1, l2]          # or [l1, l2, l3] for 16 DoF
           y_nominal: 0.024
 
-Entries in a user file are merged over the built-ins by name.
+Entries in a user file are merged over the built-ins by name; a file
+may override a built-in but may name each robot only once.
 """
 
 from __future__ import annotations
@@ -191,7 +192,22 @@ def default_legs(height_m: float, dof_total: int, morphology: str,
 _REQUIRED = object()
 
 
-def _float_list(value, cast=float) -> tuple:
+def _real(value) -> float:
+    """float of a YAML number; TypeError for a boolean (YAML's true/false/yes/no)."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value) -> int:
+    """int of a YAML whole number; ValueError for a fraction, inf or NaN."""
+    number = _real(value)
+    if not number.is_integer():
+        raise ValueError(f"expected a whole number, got {value!r}")
+    return int(number)
+
+
+def _float_list(value, cast=_real) -> tuple:
     """cast over a YAML list; TypeError for a scalar, a string or a mapping."""
     if not isinstance(value, (list, tuple)):
         raise TypeError(f"expected a list, got {value!r}")
@@ -205,7 +221,7 @@ def _descriptor_from_entry(entry: Dict) -> RobotDescriptor:
     except (KeyError, TypeError):
         raise RegistryError(f"robot entry missing 'name': {entry!r}") from None
 
-    def field(key, cast=float, source=entry, prefix="", default=_REQUIRED):
+    def field(key, cast=_real, source=entry, prefix="", default=_REQUIRED):
         value = source.get(key)
         if value is None and default is not _REQUIRED:
             return default
@@ -220,9 +236,9 @@ def _descriptor_from_entry(entry: Dict) -> RobotDescriptor:
     height_m = field("height_cm") / 100.0
     if height_m <= 0.0 or not math.isfinite(height_m):
         raise RegistryError(f"{name}: height_cm must be positive")
-    dof = field("dof", int)
+    dof = field("dof", _integer)
     morph_raw = entry.get("morphology")
-    if isinstance(morph_raw, int) or (isinstance(morph_raw, str) and morph_raw.isdigit()):
+    if type(morph_raw) is int or (isinstance(morph_raw, str) and morph_raw.isdigit()):
         morphology = _MORPH_BY_CODE.get(int(morph_raw))
     else:
         morphology = morph_raw if morph_raw in _CODE_BY_MORPH else None
@@ -247,7 +263,6 @@ def _descriptor_from_entry(entry: Dict) -> RobotDescriptor:
             l_pntr=field("l_pntr_cm") / 100.0,
             x_off=field("x_offset_cm") / 100.0,
             z_off=field("z_offset_cm", default=0.0) / 100.0,
-            y_nominal=abs(legs[0].abd_offset),
         )
         return RobotDescriptor(
             name=name,
@@ -343,17 +358,20 @@ def load_registry(path: Optional[str] = None) -> Registry:
         raise RegistryError(
             f"registry file {path!r} must contain a top-level 'robots' list")
 
+    # an override keeps the built-in's place; a new robot goes last
     merged = {r.name.lower(): r for r in base}
-    order = [r.name.lower() for r in base]
+    seen = set()
     for entry in doc["robots"]:
         if not isinstance(entry, dict):
             raise RegistryError(f"robot entry must be a mapping, got {entry!r}")
         robot = _descriptor_from_entry(entry)
         key = robot.name.lower()
-        if key not in merged:
-            order.append(key)
+        if key in seen:
+            raise RegistryError(
+                f"{robot.name}: field 'name' repeats an earlier entry of {path!r}")
+        seen.add(key)
         merged[key] = robot
-    return Registry([merged[k] for k in order])
+    return Registry(list(merged.values()))
 
 
 def save_registry(registry: Registry, path: str) -> None:

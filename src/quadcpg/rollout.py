@@ -102,9 +102,11 @@ def run_rollout(robot: RobotDescriptor, policy, duration: float,
                 seed: int = 0) -> RolloutRecord:
     """Run one episode of `duration` seconds with the given policy.
 
-    The oscillators start from the policy's `initial_phases`, or from a
-    trot if it has none.  The episode depends only on the robot, the
-    policy and the duration; `seed` labels the record and its manifest.
+    The policy maps each Observation to a raw action of 8 finite reals
+    (mu x4, omega x4), which the environment clamps.  The oscillators
+    start from the policy's `initial_phases`, or from a trot if it has
+    none.  The episode depends only on the robot, the policy and the
+    duration; `seed` labels the record and its manifest.
     """
     n_steps = _control_periods(duration)
     env = QuadrupedEnv(robot)

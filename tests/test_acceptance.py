@@ -67,20 +67,20 @@ class TestAcceptance:
         t0 = time.perf_counter()
         ok = True
         for robot in REG:
-            pf = robot.pf
+            pf, y = robot.pf, robot.legs[0].abd_offset
             apex = foot_target(
-                OscillatorState(1.0, 0.0, math.pi / 2, 0.0), pf).z
+                OscillatorState(1.0, 0.0, math.pi / 2, 0.0), pf, y).z
             depth = foot_target(
-                OscillatorState(1.0, 0.0, 3 * math.pi / 2, 0.0), pf).z
+                OscillatorState(1.0, 0.0, 3 * math.pi / 2, 0.0), pf, y).z
             ok &= abs(apex - (pf.z_off - pf.h + pf.l_clrnc)) < 1e-12
             ok &= abs(depth - (pf.z_off - pf.h - pf.l_pntr)) < 1e-12
             for theta_c in (0.0, math.pi):  # swing/stance hand-offs
                 eps = 1e-12
                 lo = foot_target(
                     OscillatorState(1.0, 0.0, (theta_c - eps) % (2 * math.pi),
-                                    0.0), pf).z
+                                    0.0), pf, y).z
                 hi = foot_target(
-                    OscillatorState(1.0, 0.0, theta_c + eps, 0.0), pf).z
+                    OscillatorState(1.0, 0.0, theta_c + eps, 0.0), pf, y).z
                 ok &= abs(hi - lo) < 1e-9
         elapsed = time.perf_counter() - t0
         report(f"foot-height range and continuity across all 16 robots, "

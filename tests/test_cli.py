@@ -1,9 +1,12 @@
 import json
+import math
 
 import pytest
 import yaml
 
 from quadcpg.cli import EXIT_CONFIG, EXIT_OK, main
+from quadcpg.plotting import RecordFormatError, render_rollout_svg
+from quadcpg.rollout import record_columns
 
 
 def run(capsys, argv):
@@ -177,6 +180,45 @@ class TestPlot:
                                     "--out", str(tmp_path / "x.svg")])
         assert code == EXIT_CONFIG
         assert "cannot plot" in err
+
+    @pytest.mark.parametrize("column, value", [
+        ("vx", "nan"), ("t", "inf"), ("omega_rl", "-inf"), ("r_fr", "nan")])
+    def test_non_finite_plotted_value_exit_config(self, capsys, tmp_path, column, value):
+        csv_path = tmp_path / "roll.csv"
+        run(capsys, ["rollout", "--robot", "A1", "--duration", "0.1",
+                     "--out", str(csv_path)])
+        lines = csv_path.read_text().splitlines()
+        ix = lines[0].split(",").index(column)
+        cells = lines[3].split(",")
+        cells[ix] = value
+        lines[3] = ",".join(cells)
+        csv_path.write_text("\n".join(lines))
+        svg_path = tmp_path / "roll.svg"
+        code, _, err = run(capsys, ["plot", "--record", str(csv_path),
+                                    "--out", str(svg_path)])
+        assert code == EXIT_CONFIG
+        assert f"column {column!r} holds {value}" in err and "data row 3" in err
+        assert not svg_path.exists()
+
+    def test_render_raises_record_format_error(self):
+        columns = record_columns()
+        rows = [[float(k)] * len(columns) for k in range(3)]
+        rows[2][columns.index("r_rl")] = math.nan
+        with pytest.raises(RecordFormatError, match="'r_rl'.*nan.*data row 3"):
+            render_rollout_svg(columns, rows)
+
+    def test_non_finite_unplotted_value_still_plots(self, capsys, tmp_path):
+        csv_path = tmp_path / "roll.csv"
+        run(capsys, ["rollout", "--robot", "A1", "--duration", "0.1",
+                     "--out", str(csv_path)])
+        rows = csv_path.read_text().splitlines()
+        rows[1] = rows[1].rsplit(",", 1)[0] + ",nan"   # the last column is not plotted
+        csv_path.write_text("\n".join(rows))
+        svg_path = tmp_path / "roll.svg"
+        code, _, _ = run(capsys, ["plot", "--record", str(csv_path),
+                                  "--out", str(svg_path)])
+        assert code == EXIT_OK
+        assert "nan" not in svg_path.read_text()
 
     def test_missing_file_exit_config(self, capsys, tmp_path):
         code, _, err = run(capsys, ["plot", "--record",

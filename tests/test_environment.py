@@ -8,7 +8,7 @@ from quadcpg import environment
 from quadcpg.environment import (ACTION_SIZE, CONTROL_DT, FALL_ANGLE_LIMIT, N_SUBSTEPS,
                                  OBSERVATION_SIZE, QuadrupedEnv, build_observation,
                                  compute_reward)
-from quadcpg.foot_trajectory import FootTarget, foot_target, leg_pf_params
+from quadcpg.foot_trajectory import FootTarget, foot_target
 from quadcpg.kinematics import fk_all_feet, ik_leg_clamped
 from quadcpg.oscillator import (DT_INTEGRATION, TROT_PHASES, InvalidCommandError,
                                 clamp_command, step_oscillator)
@@ -222,7 +222,7 @@ def substep_loop_step(env, action):
         q_des = []
         for i in range(4):
             cpg[i] = step_oscillator(cpg[i], cmd.mu[i], cmd.omega[i])
-            targets[i] = foot_target(cpg[i], env._pf[i])
+            targets[i] = foot_target(cpg[i], env.robot.pf, legs[i].abd_offset)
             q, clamped = ik_leg_clamped(legs[i], targets[i])
             violations += clamped
             q_des.append(q)
@@ -290,9 +290,9 @@ class TestStepEqualsSubstepLoop:
         for robot in REG:
             env = QuadrupedEnv(robot)
             env.reset()
-            for leg, pf, q in zip(robot.legs, leg_pf_params(robot),
-                                  env.backend.joint_positions):
-                standing = FootTarget(pf.x_off, pf.y_nominal, pf.z_off - pf.h)
+            pf = robot.pf
+            for leg, q in zip(robot.legs, env.backend.joint_positions):
+                standing = FootTarget(pf.x_off, leg.abd_offset, pf.z_off - pf.h)
                 assert list(ik_leg_clamped(leg, standing)[0]) == q
 
     def test_backend_advances_once_per_step(self, monkeypatch):

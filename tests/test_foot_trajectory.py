@@ -2,15 +2,15 @@ import math
 
 import pytest
 
-from quadcpg.foot_trajectory import FootTarget, PfParams, foot_target, leg_pf_params
+from quadcpg.foot_trajectory import FootTarget, PfParams, foot_target
 from quadcpg.oscillator import OscillatorState
 from quadcpg.registry import builtin_registry
 
 A1_PF = PfParams(h=0.30, l_step=0.13, l_clrnc=0.07, l_pntr=0.01, x_off=0.0)
 
 
-def target(r, theta, params=A1_PF):
-    return foot_target(OscillatorState(r, 0.0, theta, 0.0), params)
+def target(r, theta, params=A1_PF, y=0.0):
+    return foot_target(OscillatorState(r, 0.0, theta, 0.0), params, y)
 
 
 class TestFootTarget:
@@ -34,10 +34,9 @@ class TestFootTarget:
         assert t.z == pytest.approx(-0.31)
 
     def test_lateral_is_constant(self):
-        params = PfParams(h=0.3, l_step=0.1, l_clrnc=0.05, l_pntr=0.01,
-                          y_nominal=0.04)
+        params = PfParams(h=0.3, l_step=0.1, l_clrnc=0.05, l_pntr=0.01)
         for theta in (0.0, 1.0, 2.0, 5.0):
-            assert target(1.0, theta, params).y == 0.04
+            assert target(1.0, theta, params, 0.04).y == 0.04
 
 
 class TestProperties:
@@ -93,30 +92,29 @@ class TestProperties:
 
 
 class TestParamsFromDescriptor:
-    """leg_pf_params: one shared shape per robot, per-leg lateral offsets."""
+    """One stride shape per robot; each leg's lateral offset is its own."""
 
     def test_solo(self):
-        for pf in leg_pf_params(builtin_registry().get("Solo")):
-            assert (pf.h, pf.l_step, pf.l_clrnc, pf.l_pntr, pf.x_off) == \
-                pytest.approx((0.25, 0.10, 0.05, 0.005, 0.037))
+        pf = builtin_registry().get("Solo").pf
+        assert (pf.h, pf.l_step, pf.l_clrnc, pf.l_pntr, pf.x_off) == \
+            pytest.approx((0.25, 0.10, 0.05, 0.005, 0.037))
 
     def test_dog3(self):
-        for pf in leg_pf_params(builtin_registry().get("Dog3")):
-            assert (pf.h, pf.l_step, pf.l_clrnc, pf.l_pntr, pf.x_off) == \
-                pytest.approx((1.00, 0.36, 0.09, 0.02, 0.0))
+        pf = builtin_registry().get("Dog3").pf
+        assert (pf.h, pf.l_step, pf.l_clrnc, pf.l_pntr, pf.x_off) == \
+            pytest.approx((1.00, 0.36, 0.09, 0.02, 0.0))
 
     def test_anymal_b_zero_penetration(self):
-        for pf in leg_pf_params(builtin_registry().get("Anymal-B")):
-            assert pf.l_pntr == 0.0
+        assert builtin_registry().get("Anymal-B").pf.l_pntr == 0.0
 
     def test_signed_lateral_offsets(self):
         for robot in builtin_registry():
-            fr, fl, rr, rl = leg_pf_params(robot)
-            assert fr.y_nominal < 0.0 and rr.y_nominal < 0.0
-            assert fl.y_nominal > 0.0 and rl.y_nominal > 0.0
-            for pf, leg in zip((fr, fl, rr, rl), robot.legs):
-                assert pf.y_nominal == leg.abd_offset
-                assert pf.z_off == robot.pf.z_off
+            fr, fl, rr, rl = (leg.abd_offset for leg in robot.legs)
+            assert fr < 0.0 and rr < 0.0
+            assert fl > 0.0 and rl > 0.0
+            assert fl == rl == -fr == -rr
+            for leg in robot.legs:
+                assert target(0.7, 2.0, robot.pf, leg.abd_offset).y == leg.abd_offset
 
 
 class TestValidation:

@@ -7,6 +7,7 @@ import shlex
 from pathlib import Path
 
 from quadcpg.cli import EXIT_OK, main
+from quadcpg.registry import load_registry
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -34,3 +35,11 @@ def test_cli_examples_exit_ok(tmp_path, monkeypatch, capsys):
     assert len(commands) == 5
     for argv in commands:
         assert main(argv[1:]) == EXIT_OK, (argv, capsys.readouterr().err)
+
+
+def test_registry_file_format_loads(tmp_path):
+    path = tmp_path / "registry.yaml"
+    path.write_text(section_block("Registry file format", "yaml"))
+    robot = load_registry(str(path)).get("MyBot")
+    assert robot.height_nominal == 0.35 and robot.dof_total == 12
+    assert [leg.abd_offset for leg in robot.legs] == [-0.028, 0.028, -0.028, 0.028]

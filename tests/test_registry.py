@@ -126,6 +126,7 @@ class TestFiles:
         reg = load_registry(str(path))
         assert len(reg) == 17
         assert reg.get("TestBot").height_nominal == pytest.approx(0.35)
+        assert reg.names() == builtin_registry().names() + ["TestBot"]
 
     def test_user_file_overrides_builtin(self, tmp_path):
         path = tmp_path / "override.yaml"
@@ -137,6 +138,7 @@ class TestFiles:
         reg = load_registry(str(path))
         assert len(reg) == 16
         assert reg.get("A1").mass == 13.5
+        assert reg.names() == builtin_registry().names()   # A1 keeps its place
 
     def test_invalid_kp_names_field(self, tmp_path):
         path = tmp_path / "bad.yaml"
@@ -280,7 +282,36 @@ WRONG_TYPES = [
     pytest.param({"geometry": {"y_nominal": [0.02]}}, "y_nominal", id="y_nominal-list"),
     pytest.param({"geometry": {"y_nominal": "wide"}}, "y_nominal", id="y_nominal-str"),
     pytest.param({"z_offset_cm": [1.0]}, "z_offset_cm", id="z_offset_cm-list"),
+    pytest.param({"dof": 12.9}, "dof", id="dof-fraction"),
+    pytest.param({"dof": math.inf}, "dof", id="dof-inf"),
+    pytest.param({"dof": True}, "dof", id="dof-bool"),
+    pytest.param({"mass_kg": True}, "mass_kg", id="mass_kg-bool"),
+    pytest.param({"kd": False}, "kd", id="kd-no"),   # YAML 1.1 reads `no` as false
+    pytest.param({"morphology": True}, "morphology", id="morphology-bool"),
+    pytest.param({"geometry": {"link_lengths": [True, 0.2]}}, "link_lengths",
+                 id="link_lengths-bool"),
+    pytest.param({"geometry": {"hip_offsets": [[0.1, -0.03, False], [0.1, 0.03, 0.0],
+                                               [-0.1, -0.03, 0.0], [-0.1, 0.03, 0.0]]}},
+                 "hip_offsets", id="hip_offsets-bool"),
+    pytest.param({"geometry": {"y_nominal": True}}, "y_nominal", id="y_nominal-bool"),
 ]
+
+
+def test_whole_float_dof_loads(tmp_path):
+    entry = copy.deepcopy(GOOD_ENTRY)
+    entry["dof"] = 12.0
+    robot = load_registry(write_registry(tmp_path / "ok.yaml", entry)).get("BadBot")
+    assert robot.dof_total == 12 and type(robot.dof_total) is int
+
+
+def test_one_robot_named_twice_is_rejected(tmp_path):
+    twin = copy.deepcopy(GOOD_ENTRY)
+    twin["name"], twin["mass_kg"] = "badbot", 11.0   # names match case-insensitively
+    path = tmp_path / "twice.yaml"
+    path.write_text(yaml.safe_dump({"robots": [GOOD_ENTRY, twin]}))
+    with pytest.raises(RegistryError, match="badbot: field 'name' repeats"):
+        load_registry(str(path))
+    assert main(["--registry", str(path), "robots"]) == EXIT_CONFIG
 
 
 @pytest.mark.parametrize("count", [3, 5])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from quadcpg.controllers import open_loop_trot
 from quadcpg.environment import CONTROL_DT, N_SUBSTEPS
-from quadcpg.foot_trajectory import foot_target, leg_pf_params
+from quadcpg.foot_trajectory import foot_target
 from quadcpg.oscillator import (MU_MAX, MU_MIN, OMEGA_MAX_HZ, OMEGA_MIN_HZ, TROT_PHASES,
                                 init_cpg, step_oscillator)
 from quadcpg.registry import builtin_registry
@@ -59,7 +59,6 @@ class TestOpenLoopTrajectory:
 def substep_trajectory(robot, mu, omega, duration):
     """The trajectory as a per-substep loop of step_oscillator and foot_target."""
     cpg = init_cpg(TROT_PHASES)
-    pf = leg_pf_params(robot)
     rows = []
     for k in range(int(round(duration / CONTROL_DT))):
         for _ in range(N_SUBSTEPS):
@@ -67,8 +66,8 @@ def substep_trajectory(robot, mu, omega, duration):
         row = [(k + 1) * CONTROL_DT]
         row += [s.r for s in cpg]
         row += [s.theta for s in cpg]
-        for state, params in zip(cpg, pf):
-            row += foot_target(state, params)
+        for state, leg in zip(cpg, robot.legs):
+            row += foot_target(state, robot.pf, leg.abd_offset)
         rows.append(row)
     return rows
 

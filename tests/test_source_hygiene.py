@@ -173,6 +173,30 @@ def test_each_fact_has_one_owner():
     # the IK's per-leg constants: computed once per LegGeometry, read elsewhere
     for expr in IK_CONSTANTS:
         assert computations_in_src(expr) == [("kinematics.py", "__post_init__")], expr
+    # a foot's lateral offset is its leg's abd_offset; y_nominal is only the
+    # registry file's name for it, and no per-leg copy of a record is made
+    assert [p.name for p in MODULES if "y_nominal" in p.read_text()] == ["registry.py"]
+    assert [p.name for p in MODULES if dataclass_replaces(p.read_text())] == []
+
+
+def dataclass_replaces(source):
+    """Every `dataclasses.replace` a module imports or reads."""
+    return [node for node in ast.walk(ast.parse(source))
+            if (isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+                and any(alias.name == "replace" for alias in node.names))
+            or (isinstance(node, ast.Attribute) and node.attr == "replace"
+                and isinstance(node.value, ast.Name) and node.value.id == "dataclasses")]
+
+
+@pytest.mark.parametrize("snippet", [
+    "from dataclasses import dataclass, replace",
+    "import dataclasses\nx = dataclasses.replace(pf, h=1.0)"])
+def test_replace_guard_catches(snippet):
+    assert dataclass_replaces(snippet)
+
+
+def test_replace_guard_allows_str_replace():
+    assert dataclass_replaces("s = name.replace('-', '_')") == []
 
 
 #: The IK's 3-DoF reach bound, 4-DoF quadratic coefficient and constant term.
