@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Subcommands: robots, traj, rollout, search, plot.  Exit codes: 0 on
-success, 1 for runtime errors, 2 for configuration/parse errors.  The
-default registry file can also be set through QUADCPG_REGISTRY.
+Subcommands: robots, traj, rollout, search, plot.  The default registry
+file can also be set through QUADCPG_REGISTRY.  ``main`` alone turns an
+exception into an ``error:`` line and an exit code: 0 on success; 2 for
+bad input (a ``ValueError``, which includes a ``RegistryError``, or an
+unknown robot); 1 for a failed write (``OSError``) or any other error.
 """
 
 from __future__ import annotations
@@ -20,25 +22,8 @@ EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
-
-
 def _registry(args) -> Registry:
-    path = args.registry or os.environ.get("QUADCPG_REGISTRY")
-    try:
-        return load_registry(path)
-    except RegistryError as exc:
-        raise CliError(f"registry error: {exc}", EXIT_CONFIG) from None
-
-
-def _robot(args):
-    try:
-        return _registry(args).get(args.robot)
-    except UnknownRobotError as exc:
-        raise CliError(str(exc.args[0]), EXIT_CONFIG) from None
+    return load_registry(args.registry or os.environ.get("QUADCPG_REGISTRY"))
 
 
 def cmd_robots(args) -> int:
@@ -54,25 +39,19 @@ def cmd_robots(args) -> int:
 
 
 def cmd_traj(args) -> int:
-    robot = _robot(args)
-    try:
-        columns, rows = rollout.run_open_loop_trajectory(
-            robot, args.mu, args.omega, args.duration)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_CONFIG) from None
-    _write_table(columns, rows, args.out)
+    columns, rows = rollout.run_open_loop_trajectory(
+        _registry(args).get(args.robot), args.mu, args.omega, args.duration)
+    rollout.write_csv(columns, rows, args.out)
     print(f"wrote {len(rows)} samples to {args.out}")
     return EXIT_OK
 
 
 def cmd_rollout(args) -> int:
-    robot = _robot(args)
-    try:
-        policy = controllers.open_loop_trot(args.mu, args.omega)
-        record = rollout.run_rollout(robot, policy, args.duration, seed=args.seed)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_CONFIG) from None
-    _write_record(record, args.out)
+    robot = _registry(args).get(args.robot)
+    policy = controllers.open_loop_trot(args.mu, args.omega)
+    record = rollout.run_rollout(robot, policy, args.duration, seed=args.seed)
+    rollout.write_record_csv(record, args.out)
+    rollout.write_record_manifest(record, os.path.splitext(args.out)[0] + ".json")
     summary = record.manifest()["summary"]
     terms = [record.column_mean(c) for c in
              ("reward_forward", "reward_orientation", "reward_power")]
@@ -88,16 +67,9 @@ def cmd_rollout(args) -> int:
 
 
 def cmd_search(args) -> int:
-    robot = _robot(args)
-    try:
-        result = controllers.search_constant_command(
-            robot, args.budget, seed=args.seed, horizon=args.horizon)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_CONFIG) from None
-    try:
-        result.to_json(args.out)
-    except OSError as exc:
-        raise CliError(f"cannot write {args.out!r}: {exc}", EXIT_RUNTIME) from None
+    result = controllers.search_constant_command(
+        _registry(args).get(args.robot), args.budget, seed=args.seed, horizon=args.horizon)
+    result.to_json(args.out)
     print(f"best mu={result.best_mu:.4f} omega={result.best_omega:.4f} Hz "
           f"return={result.best_return:.4f} over {args.budget} samples")
     return EXIT_OK
@@ -108,30 +80,11 @@ def cmd_plot(args) -> int:
         columns, rows = rollout.read_record_csv(args.record)
         svg = plotting.render_rollout_svg(columns, rows)
     except (OSError, ValueError) as exc:
-        raise CliError(f"cannot plot {args.record!r}: {exc}", EXIT_CONFIG) from None
-    try:
-        with open(args.out, "w") as fh:
-            fh.write(svg)
-    except OSError as exc:
-        raise CliError(f"cannot write {args.out!r}: {exc}", EXIT_RUNTIME) from None
+        raise ValueError(f"cannot plot {args.record!r}: {exc}") from None
+    with open(args.out, "w") as fh:
+        fh.write(svg)
     print(f"wrote {args.out}")
     return EXIT_OK
-
-
-def _write_table(columns, rows, path: str) -> None:
-    try:
-        rollout.write_csv(columns, rows, path)
-    except OSError as exc:
-        raise CliError(f"cannot write {path!r}: {exc}", EXIT_RUNTIME) from None
-
-
-def _write_record(record, path: str) -> None:
-    manifest_path = os.path.splitext(path)[0] + ".json"
-    try:
-        rollout.write_record_csv(record, path)
-        rollout.write_record_manifest(record, manifest_path)
-    except OSError as exc:
-        raise CliError(f"cannot write {path!r}: {exc}", EXIT_RUNTIME) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -142,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="path to a YAML registry file merged over the built-ins")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("robots", help="list all robots in the registry")
+    sub.add_parser("robots", help="list all robots in the registry").set_defaults(run=cmd_robots)
 
     p = sub.add_parser("traj", help="export an open-loop foot-trajectory CSV")
     p.add_argument("--robot", required=True)
@@ -150,6 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", type=float, default=2.5)
     p.add_argument("--duration", type=float, default=2.0)
     p.add_argument("--out", required=True)
+    p.set_defaults(run=cmd_traj)
 
     p = sub.add_parser("rollout", help="run an open-loop trot rollout")
     p.add_argument("--robot", required=True)
@@ -159,6 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True,
                    help="CSV output path; the JSON manifest goes next to it")
+    p.set_defaults(run=cmd_rollout)
 
     p = sub.add_parser("search", help="random search over constant commands")
     p.add_argument("--robot", required=True)
@@ -167,34 +122,33 @@ def build_parser() -> argparse.ArgumentParser:
                    help="episode length in control steps")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="JSON output path")
+    p.set_defaults(run=cmd_search)
 
     p = sub.add_parser("plot", help="render a rollout CSV as a 3-panel SVG")
     p.add_argument("--record", required=True, help="rollout CSV input")
     p.add_argument("--out", required=True, help="SVG output path")
+    p.set_defaults(run=cmd_plot)
 
     return parser
 
 
-_COMMANDS = {
-    "robots": cmd_robots,
-    "traj": cmd_traj,
-    "rollout": cmd_rollout,
-    "search": cmd_search,
-    "plot": cmd_plot,
-}
-
-
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return args.run(args)
+    except OSError as exc:   # reads raise ValueError, so this is a failed write
+        out = getattr(args, "out", None)
+        message, code = (f"cannot write {out!r}: {exc}" if out else str(exc)), EXIT_RUNTIME
+    except RegistryError as exc:
+        message, code = f"registry error: {exc}", EXIT_CONFIG
+    except UnknownRobotError as exc:
+        message, code = exc.args[0], EXIT_CONFIG
+    except ValueError as exc:
+        message, code = str(exc), EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        message, code = str(exc), EXIT_RUNTIME
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -27,8 +27,10 @@ psi = q_knee / 2 the squared reach becomes a quadratic in cos(psi),
 which keeps the solution closed form.  Only the -0.5 coupling ratio
 admits this reduction, so it is a constant, not a per-leg parameter.
 
-Unreachable targets raise OutOfWorkspaceError carrying the clamped-reach
-fallback joint vector so a running rollout can keep going.
+Every solver clamps an unreachable target to the workspace boundary and
+flags it.  Only ``ik_leg`` raises, OutOfWorkspaceError carrying the
+clamped joint vector; the environment steps through the clamped solvers
+and counts the flags in ``info["workspace_violations"]``.
 """
 
 from __future__ import annotations

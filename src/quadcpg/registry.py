@@ -217,9 +217,11 @@ def _float_list(value, cast=_real) -> tuple:
 def _descriptor_from_entry(entry: Dict) -> RobotDescriptor:
     """Build and validate one descriptor from a registry-file entry."""
     try:
-        name = str(entry["name"])
+        name = entry["name"]
     except (KeyError, TypeError):
         raise RegistryError(f"robot entry missing 'name': {entry!r}") from None
+    if not isinstance(name, str):
+        raise RegistryError(f"robot entry field 'name' must be a string, got {name!r}")
 
     def field(key, cast=_real, source=entry, prefix="", default=_REQUIRED):
         value = source.get(key)

@@ -210,5 +210,10 @@ def read_record_csv(path: str):
             columns = next(reader)
         except StopIteration:
             raise ValueError(f"record file {path!r} is empty") from None
-        rows = [list(map(float, row)) for row in reader]
+        rows = []
+        for k, row in enumerate(reader, 1):
+            if len(row) != len(columns):
+                raise ValueError(f"record file {path!r}: data row {k} has {len(row)} "
+                                 f"cells, the header has {len(columns)}")
+            rows.append(list(map(float, row)))
     return columns, rows

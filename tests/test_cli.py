@@ -1,12 +1,15 @@
+import errno
 import json
 import math
+import os
+import sys
 
 import pytest
 import yaml
 
-from quadcpg.cli import EXIT_CONFIG, EXIT_OK, main
+from quadcpg.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from quadcpg.plotting import RecordFormatError, render_rollout_svg
-from quadcpg.rollout import record_columns
+from quadcpg.rollout import record_columns, write_csv
 
 
 def run(capsys, argv):
@@ -226,3 +229,103 @@ class TestPlot:
                                     "--out", str(tmp_path / "x.svg")])
         assert code == EXIT_CONFIG
         assert err
+
+
+BUILTIN_NAMES = ("Little Dog, Spot-Micro, Solo, Mini-Cheetah, A1, Go1, Aliengo, "
+                 "Laikago, Anymal-B, Anymal-C, Spot, B1, HYQ, Dog1, Dog2, Dog3")
+NO_KP = ("robots:\n  - {name: Bot, height_cm: 35, mass_kg: 10, l_step_cm: 12, "
+         "l_clrnc_cm: 6, l_pntr_cm: 1, x_offset_cm: 0, dof: 12, morphology: 1, kd: 2}\n")
+UNWRITABLE = "{d}/no-dir/out"
+
+
+def enoent(name):
+    return f"[Errno 2] No such file or directory: '{{d}}/{name}'"
+
+
+CANNOT_WRITE = f"cannot write '{UNWRITABLE}': {enoent('no-dir/out')}"
+
+#: (argv, exit code, stderr after "error: "); "{d}" is the test's directory.
+FAILURES = [
+    pytest.param(["--registry", "{d}/bad.yaml", "robots"], EXIT_CONFIG, None,
+                 id="registry-bad-yaml"),
+    pytest.param(["--registry", "{d}/no-kp.yaml", "robots"], EXIT_CONFIG,
+                 "registry error: Bot: missing field 'kp'", id="registry-missing-field"),
+    pytest.param(["--registry", "{d}/none.yaml", "robots"], EXIT_CONFIG,
+                 "registry error: cannot read registry file '{d}/none.yaml': "
+                 + enoent("none.yaml"), id="registry-missing-file"),
+    pytest.param(["traj", "--robot", "NoSuchBot", "--out", "{d}/x.csv"], EXIT_CONFIG,
+                 f"unknown robot 'NoSuchBot'; available: {BUILTIN_NAMES}",
+                 id="traj-unknown-robot"),
+    pytest.param(["traj", "--robot", "A1", "--mu", "9", "--out", "{d}/x.csv"], EXIT_CONFIG,
+                 "mu=9.0 outside [0.5, 4.0]", id="traj-mu"),
+    pytest.param(["traj", "--robot", "A1", "--duration", "0", "--out", "{d}/x.csv"],
+                 EXIT_CONFIG, "duration must be finite and at least one control period "
+                 "(0.01 s), got 0.0", id="traj-duration"),
+    pytest.param(["traj", "--robot", "A1", "--duration", "0.1", "--out", UNWRITABLE],
+                 EXIT_RUNTIME, CANNOT_WRITE, id="traj-unwritable"),
+    pytest.param(["rollout", "--robot", "A1", "--omega", "7", "--out", "{d}/x.csv"],
+                 EXIT_CONFIG, "omega=7.0 outside [0.0, 5.0] Hz", id="rollout-omega"),
+    pytest.param(["rollout", "--robot", "A1", "--duration", "0.1", "--out", UNWRITABLE],
+                 EXIT_RUNTIME, CANNOT_WRITE, id="rollout-unwritable"),
+    pytest.param(["search", "--robot", "A1", "--budget", "0", "--out", "{d}/x.json"],
+                 EXIT_CONFIG, "budget must be >= 1, got 0", id="search-budget"),
+    pytest.param(["search", "--robot", "A1", "--horizon", "0", "--out", "{d}/x.json"],
+                 EXIT_CONFIG, "horizon must be >= 1, got 0", id="search-horizon"),
+    pytest.param(["search", "--robot", "A1", "--budget", "2", "--horizon", "5",
+                  "--out", UNWRITABLE], EXIT_RUNTIME, CANNOT_WRITE, id="search-unwritable"),
+    pytest.param(["plot", "--record", "{d}/none.csv", "--out", "{d}/x.svg"], EXIT_CONFIG,
+                 "cannot plot '{d}/none.csv': " + enoent("none.csv"),
+                 id="plot-missing"),
+    pytest.param(["plot", "--record", "{d}/empty.csv", "--out", "{d}/x.svg"], EXIT_CONFIG,
+                 "cannot plot '{d}/empty.csv': record file '{d}/empty.csv' is empty",
+                 id="plot-empty"),
+    pytest.param(["plot", "--record", "{d}/word.csv", "--out", "{d}/x.svg"], EXIT_CONFIG,
+                 "cannot plot '{d}/word.csv': could not convert string to float: 'abc'",
+                 id="plot-non-numeric"),
+    pytest.param(["plot", "--record", "{d}/short.csv", "--out", "{d}/x.svg"], EXIT_CONFIG,
+                 "cannot plot '{d}/short.csv': record file '{d}/short.csv': "
+                 "data row 2 has 3 cells, the header has {n}", id="plot-ragged"),
+    pytest.param(["plot", "--record", "{d}/good.csv", "--out", UNWRITABLE], EXIT_RUNTIME,
+                 CANNOT_WRITE, id="plot-unwritable"),
+]
+
+
+class TestFailureMatrix:
+    """Each bad input gives one exit code and one exact `error:` line."""
+
+    @staticmethod
+    def inputs(d):
+        (d / "bad.yaml").write_text("robots: [unclosed")
+        (d / "no-kp.yaml").write_text(NO_KP)
+        (d / "empty.csv").write_text("")
+        (d / "word.csv").write_text("t,vx\n0.0,abc\n")
+        columns = record_columns()
+        rows = [[float(k)] * len(columns) for k in range(3)]
+        write_csv(columns, rows, str(d / "good.csv"))
+        write_csv(columns, [rows[0], rows[1][:3], rows[2]], str(d / "short.csv"))
+
+    @pytest.mark.parametrize("argv, code, message", FAILURES)
+    def test_exit_code_and_stderr(self, capsys, tmp_path, argv, code, message):
+        self.inputs(tmp_path)
+        subst = dict(d=str(tmp_path), n=len(record_columns()))
+        if message is None:   # the parser's own text, after the registry's prefix
+            path = str(tmp_path / "bad.yaml")
+            with pytest.raises(yaml.YAMLError) as exc, open(path) as fh:
+                yaml.safe_load(fh)
+            message = f"registry error: cannot parse registry file {path!r}: {exc.value}"
+        else:
+            message = message.format(**subst)
+        assert run(capsys, [a.format(**subst) for a in argv]) == (code, "", f"error: {message}\n")
+        assert not any((tmp_path / f"x.{ext}").exists() for ext in ("csv", "json", "svg"))
+
+    def test_robots_stdout_failure(self, capsys, monkeypatch):
+        class BrokenStdout:
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", BrokenStdout())
+        code = main(["robots"])
+        assert (code, capsys.readouterr().err) == (EXIT_RUNTIME, "error: [Errno 32] Broken pipe\n")

@@ -314,6 +314,23 @@ def test_one_robot_named_twice_is_rejected(tmp_path):
     assert main(["--registry", str(path), "robots"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("name", [True, 12, ["a"], None], ids=["true", "12", "list", "null"])
+def test_non_string_name_is_rejected(capsys, tmp_path, name):
+    path = write_registry(tmp_path / "bad.yaml", entry_with("name", name))
+    message = f"robot entry field 'name' must be a string, got {name!r}"
+    with pytest.raises(RegistryError) as exc:
+        load_registry(path)
+    assert str(exc.value) == message
+    assert main(["--registry", path, "robots"]) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"error: registry error: {message}\n")
+
+
+def test_quoted_number_name_loads(tmp_path):
+    path = write_registry(tmp_path / "ok.yaml", entry_with("name", "12"))
+    assert "name: '12'" in (tmp_path / "ok.yaml").read_text()
+    assert load_registry(path).get("12").name == "12"
+
+
 @pytest.mark.parametrize("count", [3, 5])
 def test_one_hip_offset_per_limb(tmp_path, count):
     entry = copy.deepcopy(GOOD_ENTRY)

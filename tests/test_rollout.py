@@ -224,6 +224,17 @@ class TestCsvRoundTrip:
         doc = json.loads(path.read_text())
         assert doc == record.manifest()
 
+    @pytest.mark.parametrize("cells", [0, 3, 45, 47])   # the header has 46
+    def test_ragged_row_rejected(self, tmp_path, cells):
+        columns = record_columns()
+        rows = [[float(k)] * len(columns) for k in range(3)]
+        rows[1] = [1.0] * cells
+        path = tmp_path / "ragged.csv"
+        write_csv(columns, rows, str(path))
+        with pytest.raises(ValueError, match=f"data row 2 has {cells} cells, "
+                                             f"the header has {len(columns)}$"):
+            read_record_csv(str(path))
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
