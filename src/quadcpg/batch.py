@@ -9,9 +9,9 @@ differs in numpy, go element by element through `math`; sums run joint by
 joint and leg by leg, never pairwise, the power term through the scalar
 reward's own `environment.sum_in_order`, and running values (base x, the
 held stance velocity) through the strictly in-order `np.add.accumulate` and
-`np.maximum.accumulate`.  Only the recurrences -- oscillator, joint lag,
-height servo -- go substep by substep; every other stage runs once per tile
-of (substep, lane) pairs, so numpy's per-call overhead is paid per tile.
+`np.maximum.accumulate`.  Only the two recurrences -- oscillator and joint
+lag -- go substep by substep; every other stage runs once per tile of
+(substep, lane) pairs, so numpy's per-call overhead is paid per tile.
 The scalar `QuadrupedEnv` stays the closed-loop path and the oracle.
 """
 
@@ -97,7 +97,7 @@ class _Legs:
         negative = disc < 0.0
         clamped |= negative & (disc < self.disc_in)
         c = (-self.qb + np.sqrt(np.where(negative, 0.0, disc))) / self.two_qa
-        clamped |= (c > 1.0 + _CLAMP_TOL) | (c < -1.0)
+        clamped |= (c > 1.0 + _CLAMP_TOL) | (c < -1.0 - _CLAMP_TOL)
         psi = _math(math.acos, np.minimum(1.0, np.maximum(-1.0, c)))
         psi = np.where(self.elbow_down, -psi, psi)
         knee = 2.0 * psi
@@ -166,9 +166,10 @@ def evaluate_batch(robot: RobotDescriptor, commands: Iterable[Tuple[float, float
 def _episodes(env: QuadrupedEnv, legs: _Legs, commands, horizon: int) -> List[float]:
     """The returns of one chunk of episodes, from the state `env` was reset to.
 
-    Each tile of whole control steps runs the recurrences (oscillator, joint
-    lag, height servo) substep by substep, then every later stage in one pass
-    over the tile's (substep, lane, leg[, joint]) arrays.
+    Each tile of whole control steps runs the two recurrences (oscillator,
+    joint lag) substep by substep, then every later stage in one pass over
+    the tile's (substep, lane, leg[, joint]) arrays.  The base holds its start
+    height and flat attitude, so an episode ends after step 1 or never.
     """
     cmds = [clamp_command((mu,) * 4 + (omega,) * 4) for mu, omega in commands]
     n = len(cmds)
@@ -186,8 +187,10 @@ def _episodes(env: QuadrupedEnv, legs: _Legs, commands, horizon: int) -> List[fl
     vx = np.full(n, backend.base_lin_vel[0])
 
     # the backend's and env's own constants
-    dt, lag, servo = DT_INTEGRATION, backend.lag_factor, backend.servo_factor
+    dt, lag = DT_INTEGRATION, backend.lag_factor
     orientation = W_ORIENTATION * 0.0   # the kinematic backend keeps the base flat
+    if bz < env.min_height:
+        horizon = 1
     per_tile = max(1, TILE_LANE_SUBSTEPS // (n * N_SUBSTEPS))
 
     total = np.zeros(n)
@@ -203,13 +206,9 @@ def _episodes(env: QuadrupedEnv, legs: _Legs, commands, horizon: int) -> List[fl
         for k in range(t):
             e[k] = des[k] - q
             q = qs[k] = q + e[k] * lag
-        bzs = [bz]   # the height servo depends on no lane: one sequence serves all
-        for _ in range(t):
-            bz = bz + (robot.height_nominal - bz) * servo
-            bzs.append(bz)
 
         fx, fz = legs.feet_xz(qs)
-        contact = np.array(bzs[:-1])[:, None, None] + fz <= CONTACT_TOL
+        contact = bz + fz <= CONTACT_TOL
         step_x = fx - np.concatenate((fx_prev[None], fx[:-1]))
         fx_prev = fx[-1]
         sx = np.zeros((t, n))
@@ -239,6 +238,4 @@ def _episodes(env: QuadrupedEnv, legs: _Legs, commands, horizon: int) -> List[fl
         reward = forward + orientation + W_POWER * np.abs(power)
         for k in range(n_steps):
             total = total + reward[k]
-            if bzs[(k + 1) * N_SUBSTEPS] < env.min_height:
-                return total.tolist()
     return total.tolist()

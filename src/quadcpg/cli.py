@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Subcommands: robots, traj, rollout, search, plot.  The default registry
-file can also be set through QUADCPG_REGISTRY.  ``main`` alone turns an
-exception into an ``error:`` line and an exit code: 0 on success; 2 for
-bad input (a ``ValueError``, which includes a ``RegistryError``, or an
-unknown robot); 1 for a failed write (``OSError``) or any other error.
+file can also be set through QUADCPG_REGISTRY.  Each command returns its
+summary text and ``main`` prints it.  ``main`` alone turns an exception
+into an ``error:`` line and an exit code: 0 on success; 2 for bad input (a
+``ValueError``, which includes a ``RegistryError``, or an unknown robot);
+1 for a failed write of ``--out`` (``OSError``), a failed print of the
+summary or any other error.
 """
 
 from __future__ import annotations
@@ -26,27 +28,24 @@ def _registry(args) -> Registry:
     return load_registry(args.registry or os.environ.get("QUADCPG_REGISTRY"))
 
 
-def cmd_robots(args) -> int:
+def cmd_robots(args) -> str:
     registry = _registry(args)
     header = (f"{'name':<14} {'mass[kg]':>9} {'height[m]':>10} "
               f"{'DoF':>4} {'morphology':<26} {'Kp':>7} {'Kd':>6}")
-    print(header)
-    print("-" * len(header))
-    for r in registry:
-        print(f"{r.name:<14} {r.mass:>9.1f} {r.height_nominal:>10.3f} "
-              f"{r.dof_total:>4} {r.morphology:<26} {r.kp:>7.1f} {r.kd:>6.1f}")
-    return EXIT_OK
+    return "\n".join([header, "-" * len(header)] + [
+        f"{r.name:<14} {r.mass:>9.1f} {r.height_nominal:>10.3f} "
+        f"{r.dof_total:>4} {r.morphology:<26} {r.kp:>7.1f} {r.kd:>6.1f}"
+        for r in registry])
 
 
-def cmd_traj(args) -> int:
+def cmd_traj(args) -> str:
     columns, rows = rollout.run_open_loop_trajectory(
         _registry(args).get(args.robot), args.mu, args.omega, args.duration)
     rollout.write_csv(columns, rows, args.out)
-    print(f"wrote {len(rows)} samples to {args.out}")
-    return EXIT_OK
+    return f"wrote {len(rows)} samples to {args.out}"
 
 
-def cmd_rollout(args) -> int:
+def cmd_rollout(args) -> str:
     robot = _registry(args).get(args.robot)
     policy = controllers.open_loop_trot(args.mu, args.omega)
     record = rollout.run_rollout(robot, policy, args.duration, seed=args.seed)
@@ -62,20 +61,18 @@ def cmd_rollout(args) -> int:
             f"power={terms[2]:.6f})")
     if record.termination_step is not None:
         line += f" terminated_early_at_step={record.termination_step}"
-    print(line)
-    return EXIT_OK
+    return line
 
 
-def cmd_search(args) -> int:
+def cmd_search(args) -> str:
     result = controllers.search_constant_command(
         _registry(args).get(args.robot), args.budget, seed=args.seed, horizon=args.horizon)
     result.to_json(args.out)
-    print(f"best mu={result.best_mu:.4f} omega={result.best_omega:.4f} Hz "
-          f"return={result.best_return:.4f} over {args.budget} samples")
-    return EXIT_OK
+    return (f"best mu={result.best_mu:.4f} omega={result.best_omega:.4f} Hz "
+            f"return={result.best_return:.4f} over {args.budget} samples")
 
 
-def cmd_plot(args) -> int:
+def cmd_plot(args) -> str:
     try:
         columns, rows = rollout.read_record_csv(args.record)
         svg = plotting.render_rollout_svg(columns, rows)
@@ -83,8 +80,7 @@ def cmd_plot(args) -> int:
         raise ValueError(f"cannot plot {args.record!r}: {exc}") from None
     with open(args.out, "w") as fh:
         fh.write(svg)
-    print(f"wrote {args.out}")
-    return EXIT_OK
+    return f"wrote {args.out}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -135,10 +131,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        summary = args.run(args)
     except OSError as exc:   # reads raise ValueError, so this is a failed write
-        out = getattr(args, "out", None)
-        message, code = (f"cannot write {out!r}: {exc}" if out else str(exc)), EXIT_RUNTIME
+        message, code = f"cannot write {args.out!r}: {exc}", EXIT_RUNTIME
     except RegistryError as exc:
         message, code = f"registry error: {exc}", EXIT_CONFIG
     except UnknownRobotError as exc:
@@ -147,6 +142,12 @@ def main(argv: Optional[list] = None) -> int:
         message, code = str(exc), EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         message, code = str(exc), EXIT_RUNTIME
+    else:
+        try:
+            print(summary)
+            return EXIT_OK
+        except OSError as exc:   # stdout failed, not the file the command wrote
+            message, code = str(exc), EXIT_RUNTIME
     print(f"error: {message}", file=sys.stderr)
     return code
 

@@ -72,10 +72,9 @@ V_CAP = 1.5
 FALL_ANGLE_LIMIT = 1.0
 MIN_HEIGHT_FRAC = 0.3
 
-#: KinematicBackend: joint-lag time-constant ceiling (s), base-height
-#: servo time constant (s), ground-contact tolerance (m).
+#: KinematicBackend: joint-lag time-constant ceiling (s), ground-contact
+#: tolerance (m).
 LAG_TAU_MAX = 0.005
-HEIGHT_SERVO_TAU = 0.05
 CONTACT_TOL = 1e-9
 
 
@@ -163,17 +162,15 @@ class KinematicBackend:
     follow the PD law tau = kp * (q_des - q) - kd * qdot.  Feet at or below
     the ground plane count as contacts and anchor the base: its planar
     velocity is the negative mean stance-foot velocity in the body frame.
-    The base height closes `servo_factor` of its error to the nominal
-    standing height per substep; orientation remains flat.  Joint torques
-    are kept for the last substep of a call only: the reward reads no
-    other.
+    The base keeps the height and the flat attitude that `reset` gave it.
+    Joint torques are kept for the last substep of a call only: the reward
+    reads no other.
     """
 
     def __init__(self, robot: RobotDescriptor):
         self.robot = robot
         dt = DT_INTEGRATION
         self.lag_factor = dt / min(max(robot.kd / robot.kp, dt), LAG_TAU_MAX)
-        self.servo_factor = min(1.0, dt / HEIGHT_SERVO_TAU)
         self.reset([[0.0] * robot.leg_dof for _ in range(4)])
 
     def reset(self, q0) -> None:
@@ -186,11 +183,8 @@ class KinematicBackend:
         self.joint_velocities = [[0.0] * robot.leg_dof for _ in range(4)]
         self.joint_torques = [[0.0] * robot.leg_dof for _ in range(4)]
         self._feet = fk_all_feet(robot, self.joint_positions)
-        self.foot_contacts = self._compute_contacts()
-
-    def _compute_contacts(self):
-        base_z = self.base_pos[2]
-        return tuple(base_z + f[2] <= CONTACT_TOL for f in self._feet)
+        self.foot_contacts = tuple(robot.height_nominal + f[2] <= CONTACT_TOL
+                                   for f in self._feet)
 
     def advance(self, q_des) -> None:
         """One control step: q_des holds each substep's desired joint positions,
@@ -232,7 +226,6 @@ class KinematicBackend:
                 path.append((fx + hx, fy + hy, fz + hz))
             paths.append(path)
 
-        h, servo = robot.height_nominal, self.servo_factor
         bx, by, bz = self.base_pos
         vx, vy, _ = self.base_lin_vel
         prev = self._feet
@@ -250,13 +243,12 @@ class KinematicBackend:
             if n_stance > 0:
                 vx = -sx / (n_stance * dt)
                 vy = -sy / (n_stance * dt)
-            dz = (h - bz) * servo
-            bx, by, bz = bx + vx * dt, by + vy * dt, bz + dz
+            bx, by = bx + vx * dt, by + vy * dt
             prev = feet
         self._feet = prev
         self.foot_contacts = tuple(contacts)
         self.base_pos = (bx, by, bz)
-        self.base_lin_vel = (vx, vy, dz / dt)
+        self.base_lin_vel = (vx, vy, 0.0)
 
 
 def build_observation(robot: RobotDescriptor, backend, cpg_states,

@@ -237,7 +237,8 @@ def _solve_4dof(geom: LegGeometry, x: float, y: float, z: float):
             clamped = True
         c = 1.0
     elif c < -1.0:
-        clamped = True
+        if c < -1.0 - _CLAMP_TOL:
+            clamped = True
         c = -1.0
 
     psi = math.acos(c)

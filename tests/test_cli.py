@@ -290,6 +290,30 @@ FAILURES = [
 ]
 
 
+#: (argv, files it writes under "{out}") of each command.
+STDOUT_FAILURES = [
+    pytest.param(["robots"], [], id="robots"),
+    pytest.param(["traj", "--robot", "A1", "--duration", "0.1", "--out", "{out}/t.csv"],
+                 ["t.csv"], id="traj"),
+    pytest.param(["rollout", "--robot", "A1", "--duration", "0.1", "--out", "{out}/r.csv"],
+                 ["r.csv", "r.json"], id="rollout"),
+    pytest.param(["search", "--robot", "A1", "--budget", "2", "--horizon", "5",
+                  "--out", "{out}/s.json"], ["s.json"], id="search"),
+    pytest.param(["plot", "--record", "{d}/good.csv", "--out", "{out}/p.svg"], ["p.svg"],
+                 id="plot"),
+]
+
+
+class BrokenStdout:
+    """A stdout whose reader has gone: every write raises EPIPE."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    def flush(self):
+        pass
+
+
 class TestFailureMatrix:
     """Each bad input gives one exit code and one exact `error:` line."""
 
@@ -318,14 +342,18 @@ class TestFailureMatrix:
         assert run(capsys, [a.format(**subst) for a in argv]) == (code, "", f"error: {message}\n")
         assert not any((tmp_path / f"x.{ext}").exists() for ext in ("csv", "json", "svg"))
 
-    def test_robots_stdout_failure(self, capsys, monkeypatch):
-        class BrokenStdout:
-            def write(self, text):
-                raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
-
-            def flush(self):
-                pass
-
+    @pytest.mark.parametrize("argv, outputs", STDOUT_FAILURES)
+    def test_stdout_failure(self, capsys, monkeypatch, tmp_path, argv, outputs):
+        # the summary is printed after the files are written: a failed print is
+        # reported bare, and the files equal those of a run whose print works
+        self.inputs(tmp_path)
+        for name in ("ok", "broken"):
+            (tmp_path / name).mkdir()
+        assert main([a.format(d=tmp_path, out=tmp_path / "ok") for a in argv]) == EXIT_OK
+        capsys.readouterr()
         monkeypatch.setattr(sys, "stdout", BrokenStdout())
-        code = main(["robots"])
+        code = main([a.format(d=tmp_path, out=tmp_path / "broken") for a in argv])
         assert (code, capsys.readouterr().err) == (EXIT_RUNTIME, "error: [Errno 32] Broken pipe\n")
+        for name in outputs:
+            ok = (tmp_path / "ok" / name).read_bytes()
+            assert ok and (tmp_path / "broken" / name).read_bytes() == ok, name

@@ -5,9 +5,9 @@ from types import SimpleNamespace
 import pytest
 
 from quadcpg import environment
-from quadcpg.environment import (ACTION_SIZE, CONTROL_DT, FALL_ANGLE_LIMIT, N_SUBSTEPS,
-                                 OBSERVATION_SIZE, QuadrupedEnv, build_observation,
-                                 compute_reward)
+from quadcpg.environment import (ACTION_SIZE, CONTACT_TOL, CONTROL_DT, FALL_ANGLE_LIMIT,
+                                 N_SUBSTEPS, OBSERVATION_SIZE, QuadrupedEnv,
+                                 build_observation, compute_reward)
 from quadcpg.foot_trajectory import FootTarget, foot_target
 from quadcpg.kinematics import fk_all_feet, ik_leg_clamped
 from quadcpg.oscillator import (DT_INTEGRATION, TROT_PHASES, InvalidCommandError,
@@ -168,10 +168,16 @@ class TestStep:
                 assert obs.foot_contacts[i]
 
 
+#: The base-height servo the backend had: each substep closes this share of
+#: the base's error to the nominal height (a 0.05 s time constant).
+SERVO_FACTOR = min(1.0, DT_INTEGRATION / 0.05)
+
+
 def substep_advance(backend, q_des):
     """KinematicBackend.advance as it was before it took a whole control
-    step: one substep per call, every leg's FK through fk_all_feet and the
-    torques stored at every substep.  Returns the number of stance feet."""
+    step: one substep per call, every leg's FK through fk_all_feet, the
+    torques stored at every substep and the base height servoed to nominal.
+    Returns the number of stance feet."""
     robot = backend.robot
     kp, kd = robot.kp, robot.kd
     a, dt = backend.lag_factor, DT_INTEGRATION
@@ -187,7 +193,7 @@ def substep_advance(backend, q_des):
     feet_prev = backend._feet
     feet = fk_all_feet(robot, q_all)
     backend._feet = feet
-    contacts = backend._compute_contacts()
+    contacts = tuple(backend.base_pos[2] + f[2] <= CONTACT_TOL for f in feet)
     backend.foot_contacts = contacts
     n_stance = 0
     sx = sy = 0.0
@@ -202,7 +208,7 @@ def substep_advance(backend, q_des):
     else:
         vx, vy = backend.base_lin_vel[0], backend.base_lin_vel[1]
     bx, by, bz = backend.base_pos
-    dz = (robot.height_nominal - bz) * backend.servo_factor
+    dz = (robot.height_nominal - bz) * SERVO_FACTOR
     backend.base_pos = (bx + vx * dt, by + vy * dt, bz + dz)
     backend.base_lin_vel = (vx, vy, dz / dt)
     return n_stance
@@ -375,6 +381,16 @@ class TestKinematicBackend:
             backend.advance(hold)
         assert backend.base_lin_vel[0] == pytest.approx(0.0, abs=1e-12)
         assert backend.base_pos[0] == pytest.approx(0.0, abs=1e-12)
+
+    def test_base_keeps_a_height_set_after_reset(self):
+        for robot in (A1, REG.get("Dog3")):
+            env = QuadrupedEnv(robot)
+            env.reset(seed=0)
+            backend = env.backend
+            backend.base_pos = (0.0, 0.0, 3.0 * robot.height_nominal)
+            env.step(TROT_ACTION)
+            assert backend.base_pos[2] == 3.0 * robot.height_nominal
+            assert backend.base_lin_vel[2] == 0.0
 
     def test_height_servoed_to_nominal(self):
         env = QuadrupedEnv(A1)

@@ -1,11 +1,13 @@
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from quadcpg.batch import _Legs
 from quadcpg.foot_trajectory import FootTarget
 from quadcpg.kinematics import (_CLAMP_TOL, ELBOW_DOWN, ELBOW_UP, FOOT_COUPLING_RATIO,
                                 LegGeometry, OutOfWorkspaceError, _solve_3dof,
@@ -160,6 +162,27 @@ class TestIk4Dof:
     def test_out_of_workspace(self):
         with pytest.raises(OutOfWorkspaceError):
             ik_leg(GEOM4, FootTarget(0.0, 0.05, -2.0))
+
+
+    @pytest.mark.parametrize("knee_config", [ELBOW_UP, ELBOW_DOWN])
+    def test_fold_within_tolerance_is_not_flagged(self, knee_config):
+        # with l3 > l1 + l2 the folded leg (psi = pi, c = cos psi = -1) is the
+        # larger root of the knee quadratic; a few ulps inward, c < -1 by noise
+        geom = LegGeometry(hip_offset=(0.0, 0.0, 0.0), abd_offset=0.05,
+                           link_lengths=(0.1, 0.1, 0.3), knee_config=knee_config)
+        psi = math.pi if knee_config == ELBOW_UP else -math.pi
+        x, y, z = fk_leg(geom, (0.0, math.pi, 2.0 * psi, FOOT_COUPLING_RATIO * 2.0 * psi))
+        for _ in range(4):
+            x, z = math.nextafter(x, 0.0), math.nextafter(z, 0.0)
+        z_leg = -math.sqrt(y * y + z * z - geom.dd)
+        disc = geom.qbqb - geom.four_qa * (geom.qk0 - (x * x + z_leg * z_leg))
+        c = (-geom.qb + math.sqrt(disc)) / geom.two_qa
+        assert -1.0 - _CLAMP_TOL < c < -1.0
+        q, clamped = _solve_4dof(geom, x, y, z)
+        assert not clamped
+        kernel = _Legs(SimpleNamespace(legs=[geom] * 4)).ik(
+            *(np.full((1, 4), v) for v in (x, y, z)))
+        assert [tuple(leg) for leg in kernel[0].tolist()] == [q] * 4
 
 
 class TestWorkspaceProperties:
@@ -354,7 +377,8 @@ def old_solve_4dof(geom, x, y, z):
             clamped = True
         c = 1.0
     elif c < -1.0:
-        clamped = True
+        if c < -1.0 - _CLAMP_TOL:
+            clamped = True
         c = -1.0
     psi = math.acos(c)
     if geom.knee_config == ELBOW_DOWN:
