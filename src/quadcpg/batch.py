@@ -12,6 +12,7 @@ held stance velocity) through the strictly in-order `np.add.accumulate` and
 `np.maximum.accumulate`.  Only the two recurrences -- oscillator and joint
 lag -- go substep by substep; every other stage runs once per tile of
 (substep, lane) pairs, so numpy's per-call overhead is paid per tile.
+Every episode runs its whole horizon: the kinematic world cannot fall.
 The scalar `QuadrupedEnv` stays the closed-loop path and the oracle.
 """
 
@@ -169,7 +170,7 @@ def _episodes(env: QuadrupedEnv, legs: _Legs, commands, horizon: int) -> List[fl
     Each tile of whole control steps runs the two recurrences (oscillator,
     joint lag) substep by substep, then every later stage in one pass over
     the tile's (substep, lane, leg[, joint]) arrays.  The base holds its start
-    height and flat attitude, so an episode ends after step 1 or never.
+    height and flat attitude.
     """
     cmds = [clamp_command((mu,) * 4 + (omega,) * 4) for mu, omega in commands]
     n = len(cmds)
@@ -189,8 +190,6 @@ def _episodes(env: QuadrupedEnv, legs: _Legs, commands, horizon: int) -> List[fl
     # the backend's and env's own constants
     dt, lag = DT_INTEGRATION, backend.lag_factor
     orientation = W_ORIENTATION * 0.0   # the kinematic backend keeps the base flat
-    if bz < env.min_height:
-        horizon = 1
     per_tile = max(1, TILE_LANE_SUBSTEPS // (n * N_SUBSTEPS))
 
     total = np.zeros(n)

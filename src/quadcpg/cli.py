@@ -54,14 +54,11 @@ def cmd_rollout(args) -> str:
     summary = record.manifest()["summary"]
     terms = [record.column_mean(c) for c in
              ("reward_forward", "reward_orientation", "reward_power")]
-    line = (f"{robot.name}: steps={summary['steps']} "
+    return (f"{robot.name}: steps={summary['steps']} "
             f"mean_velocity={summary['mean_velocity']:.3f} m/s "
             f"mean_reward={summary['mean_reward']:.4f} "
             f"(forward={terms[0]:.4f} orientation={terms[1]:.4f} "
             f"power={terms[2]:.6f})")
-    if record.termination_step is not None:
-        line += f" terminated_early_at_step={record.termination_step}"
-    return line
 
 
 def cmd_search(args) -> str:

@@ -48,14 +48,11 @@ def evaluate_constant_command(robot: RobotDescriptor, mu: float, omega: float,
     """Episodic return of a constant command over `horizon` (>= 1) control steps."""
     check_horizon(horizon)
     env = QuadrupedEnv(robot)
-    obs = env.reset(initial_phases=TROT_PHASES)
+    env.reset(initial_phases=TROT_PHASES)
     action = (mu,) * 4 + (omega,) * 4
     total = 0.0
     for _ in range(horizon):
-        obs, reward, done, _ = env.step(action)
-        total += reward
-        if done:
-            break
+        total += env.step(action)[1]
     return total
 
 

@@ -33,9 +33,10 @@ kinematics rather than read from any foot sensor.
 The world is KinematicBackend, a simplified stand-in for a physics
 simulator: stance feet are treated as ground anchors, so the base moves
 opposite to the mean stance-foot velocity, and joints track their
-targets through a first-order lag derived from the PD gains.  It draws
-no random number, so an episode depends only on the robot and the
-commands; it validates the control stack analytically.
+targets through a first-order lag derived from the PD gains.  The base
+keeps its reset height, level, so it cannot fall: no step ends an episode.
+It draws no random number, so an episode depends only on the robot and
+the commands; it validates the control stack analytically.
 """
 
 from __future__ import annotations
@@ -66,11 +67,6 @@ W_POWER = -1e-5
 CONTROL_DT = 0.01
 N_SUBSTEPS = 10
 V_CAP = 1.5
-
-#: Termination: |roll| or |pitch| above FALL_ANGLE_LIMIT (rad), or base
-#: height below MIN_HEIGHT_FRAC of the nominal standing height.
-FALL_ANGLE_LIMIT = 1.0
-MIN_HEIGHT_FRAC = 0.3
 
 #: KinematicBackend: joint-lag time-constant ceiling (s), ground-contact
 #: tolerance (m).
@@ -276,17 +272,15 @@ def build_observation(robot: RobotDescriptor, backend, cpg_states,
 
 
 class QuadrupedEnv:
-    """One robot's episodes over its KinematicBackend; step raises from done to reset."""
+    """One robot's episodes over a KinematicBackend that cannot fall: no step ends one."""
 
     def __init__(self, robot: RobotDescriptor):
         self.robot = robot
         self.backend = KinematicBackend(robot)
         self.d_max = V_CAP * CONTROL_DT
-        self.min_height = MIN_HEIGHT_FRAC * robot.height_nominal
         self._solve = _solve_3dof if robot.leg_dof == 3 else _solve_4dof
         self._cpg = None
         self.time = 0.0
-        self.done = False
 
     def reset(self, seed: int = 0, initial_phases: Sequence[float] = TROT_PHASES
               ) -> Observation:
@@ -302,16 +296,14 @@ class QuadrupedEnv:
         self._prev_action = (0.0,) * ACTION_SIZE
         self._prev_qdot = [0.0] * robot.dof_total
         self.time = 0.0
-        self.done = False
         return build_observation(robot, self.backend, self._cpg, self._prev_action)
 
     def step(self, action: Sequence[float]):
         """Apply one 100 Hz command; returns (obs, reward, done, info), with
-        info's keys terms, command, foot_targets and workspace_violations."""
+        info's keys terms, command, foot_targets and workspace_violations; done
+        is always False, as in an infinite-horizon task: the world cannot fall."""
         if self._cpg is None:
             raise RuntimeError("environment must be reset before stepping")
-        if self.done:
-            raise RuntimeError("episode is done; reset before stepping again")
         cmd = clamp_command(action)
         mu, omega = cmd.mu, cmd.omega
 
@@ -348,10 +340,6 @@ class QuadrupedEnv:
         self._prev_action = mu + omega
         self.time += CONTROL_DT
 
-        roll, pitch, _ = backend.base_rpy
-        self.done = (abs(roll) > FALL_ANGLE_LIMIT or abs(pitch) > FALL_ANGLE_LIMIT
-                     or backend.base_pos[2] < self.min_height)
-
         obs = build_observation(self.robot, backend, cpg, self._prev_action)
         info = {
             "terms": terms,
@@ -359,7 +347,7 @@ class QuadrupedEnv:
             "foot_targets": tuple(targets),
             "command": cmd,
         }
-        return obs, terms.total, self.done, info
+        return obs, terms.total, False, info
 
     @property
     def n_substeps(self) -> int:

@@ -111,6 +111,9 @@ class LegGeometry:
             consts.update(qb=qb, qk0=l1 * l1 + l2 * l2 + l3 * l3 - 2.0 * l1 * l2,
                           qbqb=qb * qb, four_qa=4.0 * qa, two_qa=2.0 * qa,
                           disc_in=-_CLAMP_TOL * qb * qb)
+        if not (all(map(math.isfinite, consts.values()))
+                and consts.get("two_l1l2", consts.get("two_qa")) > 0.0):
+            raise ValueError(f"link_lengths {links}, abd_offset {d}: IK constant out of range")
         for name, value in consts.items():
             object.__setattr__(self, name, value)   # frozen: set once, here
 

@@ -149,6 +149,7 @@ def default_legs(height_m: float, dof_total: int, morphology: str,
                  hip_offsets: Optional[Sequence[Sequence[float]]] = None,
                  y_nominal: Optional[float] = None):
     """Build the four leg geometries, deriving defaults from the height."""
+    derived = link_lengths is None and y_nominal is None
     span = LEG_SPAN_FACTOR * height_m
     if link_lengths is None:
         if dof_total == 16:
@@ -170,6 +171,11 @@ def default_legs(height_m: float, dof_total: int, morphology: str,
 
     if len(hip_offsets) != len(LIMBS):
         raise ValueError(f"expected 4 hip offsets (FR, FL, RR, RL), got {len(hip_offsets)}")
+    if derived:   # a leg the IK cannot size is the height's fault
+        try:
+            LegGeometry((0.0, 0.0, 0.0), y_nominal, link_lengths)
+        except ValueError as exc:
+            raise ValueError(f"height_cm {height_m * 100.0:g} sizes the legs: {exc}") from None
 
     legs = []
     for limb, hip in zip(LIMBS, hip_offsets):

@@ -45,7 +45,7 @@ class RolloutRecord:
     columns: List[str]
     rows: List[List[float]]
     config: dict
-    termination_step: Optional[int] = None
+    termination_step: Optional[int] = None   # always None: the world cannot fall
     workspace_violations: int = 0
 
     @property
@@ -115,11 +115,9 @@ def run_rollout(robot: RobotDescriptor, policy, duration: float,
 
     columns = record_columns()
     rows: List[List[float]] = []
-    termination_step = None
     violations = 0
-    for k in range(n_steps):
-        action = policy(obs)
-        obs, _, done, info = env.step(action)
+    for _ in range(n_steps):
+        obs, _, _, info = env.step(policy(obs))
         violations += info["workspace_violations"]
 
         backend = env.backend
@@ -133,9 +131,6 @@ def run_rollout(robot: RobotDescriptor, policy, duration: float,
         row += [1.0 if c else 0.0 for c in backend.foot_contacts]
         row += info["terms"]   # forward, orientation, power, total
         rows.append(row)
-        if done:
-            termination_step = k + 1
-            break
 
     config = {
         "robot": robot.name,
@@ -145,9 +140,8 @@ def run_rollout(robot: RobotDescriptor, policy, duration: float,
         "dt_integration": DT_INTEGRATION,
         "initial_phases": list(phases),
     }
-    return RolloutRecord(
-        seed=seed, columns=columns, rows=rows, config=config,
-        termination_step=termination_step, workspace_violations=violations)
+    return RolloutRecord(seed=seed, columns=columns, rows=rows, config=config,
+                         workspace_violations=violations)
 
 
 def trajectory_columns() -> List[str]:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadcpg import batch, environment
+from quadcpg import batch
 from quadcpg.batch import evaluate_batch
 from quadcpg.controllers import evaluate_constant_command, search_constant_command
 from quadcpg.environment import N_SUBSTEPS, QuadrupedEnv
@@ -87,21 +87,6 @@ def test_every_lane_of_small_chunks_equals_scalar(monkeypatch):
     robot = REG.get("A1")
     commands = CORNERS + OUT_OF_BOX   # three chunks, the last one partial
     assert evaluate_batch(robot, commands, HORIZON) == scalar_returns(robot, commands)
-
-
-@pytest.mark.parametrize("tile_steps", [5, None], ids=["5-step-tile", "default"])
-def test_termination_is_sticky_and_matches_scalar(monkeypatch, tile_steps):
-    # the kinematic backend holds the nominal height, so raise the fall
-    # threshold above it: every episode then ends after its first step
-    monkeypatch.setattr(environment, "MIN_HEIGHT_FRAC", 1.5)
-    robot = REG.get("A1")
-    commands = [(1.0, 2.5), (4.0, 5.0)]
-    if tile_steps:
-        monkeypatch.setattr(batch, "TILE_LANE_SUBSTEPS",
-                            len(commands) * tile_steps * N_SUBSTEPS)
-    got = evaluate_batch(robot, commands, HORIZON)
-    assert got == scalar_returns(robot, commands)
-    assert got == evaluate_batch(robot, commands, 1)
 
 
 #: Four lanes of three control steps per tile.

@@ -5,9 +5,9 @@ from types import SimpleNamespace
 import pytest
 
 from quadcpg import environment
-from quadcpg.environment import (ACTION_SIZE, CONTACT_TOL, CONTROL_DT, FALL_ANGLE_LIMIT,
-                                 N_SUBSTEPS, OBSERVATION_SIZE, QuadrupedEnv,
-                                 build_observation, compute_reward)
+from quadcpg.environment import (ACTION_SIZE, CONTACT_TOL, CONTROL_DT, N_SUBSTEPS,
+                                 OBSERVATION_SIZE, QuadrupedEnv, build_observation,
+                                 compute_reward)
 from quadcpg.foot_trajectory import FootTarget, foot_target
 from quadcpg.kinematics import fk_all_feet, ik_leg_clamped
 from quadcpg.oscillator import (DT_INTEGRATION, TROT_PHASES, InvalidCommandError,
@@ -111,22 +111,6 @@ class TestStep:
         with pytest.raises(RuntimeError):
             make_env().step(TROT_ACTION)
 
-    def test_step_after_done_rejected_until_reset(self, monkeypatch):
-        # the kinematic backend holds the nominal height, so a fall threshold
-        # above it ends every episode after its first step
-        monkeypatch.setattr(environment, "MIN_HEIGHT_FRAC", 1.5)
-        env = make_env()
-        first = env.reset(seed=0)
-        _, _, done, _ = env.step(TROT_ACTION)
-        assert done
-        x = env.backend.base_pos
-        with pytest.raises(RuntimeError, match="done"):
-            env.step(TROT_ACTION)
-        assert env.backend.base_pos == x
-        assert env.reset(seed=0) == first
-        assert not env.done
-        assert env.step(TROT_ACTION)[2]
-
     def test_workspace_fallback_flagged_not_fatal(self):
         env = make_env()
         env.reset(seed=0)
@@ -171,6 +155,11 @@ class TestStep:
 #: The base-height servo the backend had: each substep closes this share of
 #: the base's error to the nominal height (a 0.05 s time constant).
 SERVO_FACTOR = min(1.0, DT_INTEGRATION / 0.05)
+
+#: The fall rule the env had: |roll| or |pitch| above FALL_ANGLE_LIMIT (rad),
+#: or a base height below MIN_HEIGHT_FRAC of the nominal height.
+FALL_ANGLE_LIMIT = 1.0
+MIN_HEIGHT_FRAC = 0.3
 
 
 def substep_advance(backend, q_des):
@@ -217,8 +206,9 @@ def substep_advance(backend, q_des):
 def substep_loop_step(env, action):
     """QuadrupedEnv.step as the per-substep loop it replaced: each substep
     steps the four oscillators, forms their foot targets, solves their IK
-    and advances the backend by `substep_advance`.  Returns step's four
-    outputs and the number of substeps with no stance foot."""
+    and advances the backend by `substep_advance`, then applies the fall
+    rule.  Returns step's four outputs and the number of substeps with no
+    stance foot."""
     cmd = clamp_command(action)
     backend, cpg, legs = env.backend, env._cpg, env.robot.legs
     x0 = backend.base_pos[0]
@@ -241,12 +231,12 @@ def substep_loop_step(env, action):
     env._prev_action = cmd.mu + cmd.omega
     env.time += CONTROL_DT
     roll, pitch, _ = backend.base_rpy
-    env.done = (abs(roll) > FALL_ANGLE_LIMIT or abs(pitch) > FALL_ANGLE_LIMIT
-                or backend.base_pos[2] < env.min_height)
+    done = (abs(roll) > FALL_ANGLE_LIMIT or abs(pitch) > FALL_ANGLE_LIMIT
+            or backend.base_pos[2] < MIN_HEIGHT_FRAC * env.robot.height_nominal)
     obs = build_observation(env.robot, backend, cpg, env._prev_action)
     info = {"terms": terms, "workspace_violations": violations,
             "foot_targets": tuple(targets), "command": cmd}
-    return (obs, terms.total, env.done, info), flights
+    return (obs, terms.total, done, info), flights
 
 
 def backend_state(backend):
@@ -286,8 +276,6 @@ class TestStepEqualsSubstepLoop:
                 assert backend_state(env.backend) == backend_state(ref.backend)
                 clamped += info["workspace_violations"]
                 flights += ref_flights
-                if done:
-                    break
         assert flights > 0
         if name == "A1":
             assert clamped > 0   # strides at mu near 4 leave A1's workspace

@@ -477,3 +477,75 @@ class TestSolversEqualTheirPerCallForm:
                     target = (rng.uniform(-0.6, 0.6), rng.uniform(-0.3, 0.3),
                               rng.uniform(-0.9, 0.2))
                     assert outcome(new, geom, target) == outcome(old, geom, target)
+
+
+def excursions(geom, x, y, z):
+    """How far a target goes past each boundary that a clamp test of its
+    solver compares it with, in that test's quantity and relative to the
+    boundary: (dd - rr) / dd; on 3-DoF legs (rho - hi) / hi and
+    (lo - rho) / lo; on 4-DoF legs -disc / qbqb and |c| - 1.  Each quantity
+    is computed as the solver computes it; a test that cannot fire (dd or
+    lo zero) gives -inf."""
+    rr = y * y + z * z
+    out = [(geom.dd - rr) / geom.dd if geom.dd > 0.0 else -math.inf]
+    z_leg = -math.sqrt(max(rr, geom.dd) - geom.dd)
+    if geom.dof == 3:
+        rho = math.hypot(x, z_leg)
+        out += [(rho - geom.hi) / geom.hi,
+                (geom.lo - rho) / geom.lo if geom.lo > 0.0 else -math.inf]
+    else:
+        disc = geom.qbqb - geom.four_qa * (geom.qk0 - (x * x + z_leg * z_leg))
+        c = (-geom.qb + math.sqrt(max(disc, 0.0))) / geom.two_qa
+        out += [-disc / geom.qbqb, abs(c) - 1.0]
+    return out
+
+
+@st.composite
+def boundary_target(draw):
+    """A random leg and the FK of one of its boundary poses, scaled by
+    1 + k * _CLAMP_TOL with |k| <= 4.  The pose has the knee straight or
+    folded (psi = 0 or pi on 4-DoF legs) or at the knee quadratic's vertex,
+    and its hip turned at random or so that the foot lies on the abduction
+    circle (rr == dd)."""
+    n_links = draw(st.sampled_from([2, 3]))
+    geom = LegGeometry(
+        hip_offset=(0.0, 0.0, 0.0), abd_offset=draw(st.floats(-0.15, 0.15)),
+        link_lengths=tuple(draw(st.floats(0.02, 0.5)) for _ in range(n_links)),
+        knee_config=draw(st.sampled_from([ELBOW_UP, ELBOW_DOWN])))
+    sign = -1.0 if geom.elbow_down else 1.0
+    if n_links == 2:
+        pitches = (sign * draw(st.sampled_from([0.0, math.pi])),)
+    else:
+        psis = [0.0, math.pi]
+        vertex = -geom.qb / geom.two_qa
+        if vertex >= -1.0:
+            psis.append(math.acos(vertex))
+        knee = 2.0 * sign * draw(st.sampled_from(psis))
+        pitches = (knee, FOOT_COUPLING_RATIO * knee)
+    # at hip 0 the foot is (x0, z0) in the leg plane; hip h gives it the
+    # plane's z = z0 cos h - x0 sin h, zero (so rr == dd) at atan2(-z0, -x0)
+    x0, _, z0 = fk_leg(geom, (0.0, 0.0, *pitches))
+    hip = draw(st.sampled_from([math.atan2(-z0, -x0)]) | st.floats(-math.pi, math.pi))
+    target = fk_leg(geom, (draw(st.floats(-math.pi, math.pi)), hip, *pitches))
+    scale = 1.0 + draw(st.floats(-4.0, 4.0)) * _CLAMP_TOL
+    return geom, tuple(v * scale for v in target)
+
+
+class TestClampTolerance:
+    """A target less than _CLAMP_TOL / 2 past every boundary is not flagged,
+    one more than 2 * _CLAMP_TOL past any boundary is; the kernel's IK
+    returns the scalar solver's joints on these targets."""
+
+    @settings(max_examples=1500, deadline=None)
+    @given(boundary_target())
+    def test_flag_follows_the_excursion(self, case):
+        geom, target = case
+        worst = max(excursions(geom, *target))
+        q, clamped = (_solve_3dof if geom.dof == 3 else _solve_4dof)(geom, *target)
+        if worst < _CLAMP_TOL / 2:
+            assert not clamped
+        if worst > 2 * _CLAMP_TOL:
+            assert clamped
+        kernel = _Legs(SimpleNamespace(legs=[geom] * 4)).ik(
+            *(np.full((1, 4), v) for v in target))
+        assert [tuple(leg) for leg in kernel[0].tolist()] == [q] * 4

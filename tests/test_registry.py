@@ -8,9 +8,12 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadcpg.batch import evaluate_batch
 from quadcpg.cli import EXIT_CONFIG, main
+from quadcpg.controllers import open_loop_trot
 from quadcpg.registry import (MORPH_ANIMAL, MORPH_MIXED, RegistryError, UnknownRobotError, builtin_registry,
                               get_robot, load_registry, save_registry)
+from quadcpg.rollout import run_rollout
 
 GOOD_ENTRY = {
     "name": "BadBot", "height_cm": 30.0, "mass_kg": 10.0,
@@ -372,3 +375,53 @@ class TestWrongTypes:
         assert robot.pf.z_off == 0.0
         if "geometry" in replacement:   # A1 has the same height, DoF and morphology
             assert robot.legs == get_robot("A1").legs
+
+
+#: A1's stride lengths, cm: a scaled robot multiplies them all alike.
+A1_LENGTHS = {"height_cm": 30.0, "l_step_cm": 13.0, "l_clrnc_cm": 7.0,
+              "l_pntr_cm": 1.0, "x_offset_cm": 0.0}
+
+
+def scaled_entry(height_cm, dof):
+    """An A1-proportioned entry of the given height, its geometry derived from it."""
+    k = height_cm / A1_LENGTHS["height_cm"]
+    entry = {"name": "Scaled", "mass_kg": 12.0, "dof": dof,
+             "morphology": 1 if dof == 12 else 3, "kp": 100.0, "kd": 2.7}
+    entry.update({key: value * k for key, value in A1_LENGTHS.items()})
+    return entry
+
+
+class TestRobotSize:
+    """A size that puts an IK constant out of float range is rejected at load,
+    named by the field it derives from; every size that loads runs finite."""
+
+    @pytest.mark.parametrize("dof", [12, 16])
+    @pytest.mark.parametrize("height_cm", [1.0e-200, 1.0e200])
+    def test_out_of_range_size_names_height(self, capsys, tmp_path, height_cm, dof):
+        path = write_registry(tmp_path / "size.yaml", scaled_entry(height_cm, dof))
+        with pytest.raises(RegistryError, match="Scaled: height_cm"):
+            load_registry(path)
+        assert main(["--registry", path, "robots"]) == EXIT_CONFIG
+        assert "Scaled: height_cm" in capsys.readouterr().err
+
+    def test_explicit_links_are_named(self, tmp_path):
+        entry = copy.deepcopy(GOOD_ENTRY)
+        entry["geometry"]["link_lengths"] = [1.0e-200, 1.0e-200]
+        with pytest.raises(RegistryError, match="BadBot: link_lengths"):
+            load_registry(write_registry(tmp_path / "size.yaml", entry))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(-323.0, 308.0), st.sampled_from([12, 16]))
+    def test_every_loaded_size_runs_finite(self, log_height_cm, dof):
+        entry = scaled_entry(10.0 ** log_height_cm, dof)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "size.yaml")
+            with open(path, "w") as fh:
+                yaml.safe_dump({"robots": [entry]}, fh)
+            try:
+                robot = load_registry(path).get("Scaled")
+            except RegistryError:
+                return
+        record = run_rollout(robot, open_loop_trot(4.0, 5.0), 0.05)
+        assert all(math.isfinite(v) for row in record.rows for v in row)
+        assert all(map(math.isfinite, evaluate_batch(robot, [(4.0, 5.0), (1.0, 2.5)], 5)))
