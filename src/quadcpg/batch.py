@@ -48,7 +48,7 @@ def _wrap(angle: np.ndarray) -> np.ndarray:
 
 
 class _Legs:
-    """The four legs' geometry and their IK constants (`LegGeometry`'s) as (4,) arrays."""
+    """The four legs' geometry and IK constants (`LegGeometry.ik_constants`) as (4,) arrays."""
 
     def __init__(self, robot: RobotDescriptor):
         legs = robot.legs
@@ -56,14 +56,11 @@ class _Legs:
         self.links = [np.array(col) for col in zip(*(leg.link_lengths for leg in legs))]
         self.d = np.array([leg.abd_offset for leg in legs])
         self.hip_x, _, self.hip_z = np.array([leg.hip_offset for leg in legs]).T
-        names = ["dd", "dd_in", "elbow_down"] + (
-            ["lo", "hi", "l1l1", "l2l2", "two_l1l2"] if self.dof == 3
-            else ["qb", "qk0", "qbqb", "four_qa", "two_qa", "disc_in"])
-        for name in names:
+        for name in legs[0].ik_constants:
             setattr(self, name, np.array([getattr(leg, name) for leg in legs]))
 
     def ik(self, x, y, z):
-        """_solve_3dof or _solve_4dof over (N, 4) targets: q as (N, 4, dof).
+        """kinematics._solve over (N, 4) targets: q as (N, 4, dof).
         The 3-DoF clamp flags go unread, so are not computed."""
         rr = y * y + z * z
         inside = rr < self.dd

@@ -48,7 +48,7 @@ from typing import Iterable, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .foot_trajectory import FootTarget, foot_target, foot_xz
-from .kinematics import _foot_in_hip, _solve_3dof, _solve_4dof, fk_all_feet
+from .kinematics import _foot_in_hip, _solve, fk_all_feet
 from .oscillator import (DT_INTEGRATION, TROT_PHASES, TWO_PI, OscillatorState,
                          advance, clamp_command, init_cpg)
 from .registry import RobotDescriptor
@@ -278,7 +278,6 @@ class QuadrupedEnv:
         self.robot = robot
         self.backend = KinematicBackend(robot)
         self.d_max = V_CAP * CONTROL_DT
-        self._solve = _solve_3dof if robot.leg_dof == 3 else _solve_4dof
         self._cpg = None
         self.time = 0.0
 
@@ -290,7 +289,7 @@ class QuadrupedEnv:
         """
         robot = self.robot
         self._cpg = init_cpg(initial_phases)
-        standing = (self._solve(leg, *foot_target(_AT_REST, robot.pf, leg.abd_offset))
+        standing = (_solve(leg, *foot_target(_AT_REST, robot.pf, leg.abd_offset))
                     for leg in robot.legs)
         self.backend.reset([q for q, _ in standing])
         self._prev_action = (0.0,) * ACTION_SIZE
@@ -310,7 +309,7 @@ class QuadrupedEnv:
         # Leg-major, exact because the chain takes no feedback (module docstring).
         backend = self.backend
         cpg = self._cpg
-        pf, solve = self.robot.pf, self._solve
+        pf = self.robot.pf
         q_des = [[None] * 4 for _ in range(N_SUBSTEPS)]
         targets = [None] * 4
         workspace_violations = 0
@@ -321,7 +320,7 @@ class QuadrupedEnv:
             for row in q_des:
                 r, r_dot, theta = advance(r, r_dot, mu_i, theta_dot, theta)
                 x, z = foot_xz(r, theta, pf)
-                q, clamped = solve(leg, x, y, z)
+                q, clamped = _solve(leg, x, y, z)
                 if clamped:
                     workspace_violations += 1
                 row[i] = q

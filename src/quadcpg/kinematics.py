@@ -27,10 +27,13 @@ psi = q_knee / 2 the squared reach becomes a quadratic in cos(psi),
 which keeps the solution closed form.  Only the -0.5 coupling ratio
 admits this reduction, so it is a constant, not a per-leg parameter.
 
-Every solver clamps an unreachable target to the workspace boundary and
-flags it.  Only ``ik_leg`` raises, OutOfWorkspaceError carrying the
-clamped joint vector; the environment steps through the clamped solvers
-and counts the flags in ``info["workspace_violations"]``.
+One solver, ``_solve``, serves both leg types: the abduction first, then
+the 3-DoF law of cosines or the 4-DoF knee quadratic, picked by the number
+of links, in the layout of the batch kernel's ``batch._Legs.ik``.  It clamps
+an unreachable target to the workspace boundary and flags it.  Only
+``ik_leg`` raises, OutOfWorkspaceError carrying the clamped joint vector;
+the environment calls ``_solve`` and counts the flags in
+``info["workspace_violations"]``.
 """
 
 from __future__ import annotations
@@ -68,12 +71,12 @@ class LegGeometry:
     """Geometry of one leg: attachment, lateral offset and link lengths.
 
     Construction also sets the analytical IK's per-leg constants, which
-    `_solve_3dof`/`_solve_4dof` read and `batch._Legs` stacks: `dd`, the
-    squared abduction offset, its clamp bound `dd_in` and `elbow_down`; on
-    3-DoF legs the reach bounds `lo`/`hi`, their clamp bounds `lo_in`/`hi_out`
-    and the law-of-cosines terms `l1l1`, `l2l2`, `two_l1l2`; on 4-DoF legs
-    the knee quadratic's `qb`, `qk0`, `qbqb`, `four_qa`, `two_qa` and the
-    discriminant's clamp bound `disc_in`.
+    `_solve` reads, and records their names in `ik_constants`, the list
+    `batch._Legs` stacks: `dd`, the squared abduction offset, its clamp
+    bound `dd_in` and `elbow_down`; on 3-DoF legs the reach bounds `lo`/`hi`,
+    their clamp bounds `lo_in`/`hi_out` and the law-of-cosines terms `l1l1`,
+    `l2l2`, `two_l1l2`; on 4-DoF legs the knee quadratic's `qb`, `qk0`,
+    `qbqb`, `four_qa`, `two_qa` and the discriminant's clamp bound `disc_in`.
     """
 
     hip_offset: Tuple[float, float, float]  # body frame -> hip joint, m
@@ -114,6 +117,7 @@ class LegGeometry:
         if not (all(map(math.isfinite, consts.values()))
                 and consts.get("two_l1l2", consts.get("two_qa")) > 0.0):
             raise ValueError(f"link_lengths {links}, abd_offset {d}: IK constant out of range")
+        consts["ik_constants"] = tuple(consts)
         for name, value in consts.items():
             object.__setattr__(self, name, value)   # frozen: set once, here
 
@@ -157,8 +161,8 @@ def fk_leg(geom: LegGeometry, q: Sequence[float]) -> FootTarget:
     return FootTarget(*_foot_in_hip(geom.link_lengths, geom.abd_offset, q))
 
 
-def _solve_3dof(geom: LegGeometry, x: float, y: float, z: float):
-    """Closed-form 3-DoF solution; returns (q, clamped)."""
+def _solve(geom: LegGeometry, x: float, y: float, z: float):
+    """Closed-form solution of a 3- or 4-DoF leg; returns (q, clamped)."""
     # abduction: the leg plane through (y, z), clamped to the abduction circle
     d, dd = geom.abd_offset, geom.dd
     rr = y * y + z * z
@@ -176,58 +180,42 @@ def _solve_3dof(geom: LegGeometry, x: float, y: float, z: float):
     # wrap to (-pi, pi] for a continuous solution around zero
     q_abd = math.atan2(math.sin(q_abd), math.cos(q_abd))
 
-    rho = math.hypot(x, z_leg)
-    lo, hi = geom.lo, geom.hi
-    if rho > hi:
-        if rho > geom.hi_out:
-            clamped = True
-        scale = hi / rho
-        x, z_leg, rho = x * scale, z_leg * scale, hi
-    elif rho < lo:
-        if rho < geom.lo_in:
-            clamped = True
-        if rho > 0.0:
-            scale = lo / rho
-            x, z_leg, rho = x * scale, z_leg * scale, lo
-        else:
-            x, z_leg, rho = 0.0, -lo, lo
+    links = geom.link_lengths
+    if len(links) == 2:
+        # the planar 2-link chain: clamp the reach, then the law of cosines
+        rho = math.hypot(x, z_leg)
+        lo, hi = geom.lo, geom.hi
+        if rho > hi:
+            if rho > geom.hi_out:
+                clamped = True
+            scale = hi / rho
+            x, z_leg, rho = x * scale, z_leg * scale, hi
+        elif rho < lo:
+            if rho < geom.lo_in:
+                clamped = True
+            if rho > 0.0:
+                scale = lo / rho
+                x, z_leg, rho = x * scale, z_leg * scale, lo
+            else:
+                x, z_leg, rho = 0.0, -lo, lo
 
-    cos_knee = (rho * rho - geom.l1l1 - geom.l2l2) / geom.two_l1l2
-    if not cos_knee > -1.0:
-        cos_knee = -1.0
-    elif cos_knee > 1.0:
-        cos_knee = 1.0
-    knee = math.acos(cos_knee)
-    if geom.elbow_down:
-        knee = -knee
+        cos_knee = (rho * rho - geom.l1l1 - geom.l2l2) / geom.two_l1l2
+        if not cos_knee > -1.0:
+            cos_knee = -1.0
+        elif cos_knee > 1.0:
+            cos_knee = 1.0
+        knee = math.acos(cos_knee)
+        if geom.elbow_down:
+            knee = -knee
 
-    l1, l2 = geom.link_lengths
-    a = l1 + l2 * math.cos(knee)
-    b = l2 * math.sin(knee)
-    hip = math.atan2(-x, -z_leg) - math.atan2(b, a)
-    hip = math.atan2(math.sin(hip), math.cos(hip))
-    return (q_abd, hip, knee), clamped
+        l1, l2 = links
+        a = l1 + l2 * math.cos(knee)
+        b = l2 * math.sin(knee)
+        hip = math.atan2(-x, -z_leg) - math.atan2(b, a)
+        hip = math.atan2(math.sin(hip), math.cos(hip))
+        return (q_abd, hip, knee), clamped
 
-
-def _solve_4dof(geom: LegGeometry, x: float, y: float, z: float):
-    """Closed-form 4-DoF solution with the -0.5 knee-foot coupling."""
-    # abduction, as in _solve_3dof
-    d, dd = geom.abd_offset, geom.dd
-    rr = y * y + z * z
-    clamped = False
-    if rr < dd:
-        clamped = rr < geom.dd_in
-        rr = dd
-    z_leg = -math.sqrt(rr - dd)
-    ratio = d / math.sqrt(rr) if rr > 0.0 else 1.0
-    if not ratio > -1.0:
-        ratio = -1.0
-    elif ratio > 1.0:
-        ratio = 1.0
-    q_abd = math.atan2(z, y) + math.acos(ratio)
-    q_abd = math.atan2(math.sin(q_abd), math.cos(q_abd))
-
-    # quadratic in c = cos(psi), psi = knee / 2
+    # the -0.5 knee-foot coupling: a quadratic in c = cos(psi), psi = knee / 2
     qk = geom.qk0 - (x * x + z_leg * z_leg)
     disc = geom.qbqb - geom.four_qa * qk
     if disc < 0.0:
@@ -251,7 +239,7 @@ def _solve_4dof(geom: LegGeometry, x: float, y: float, z: float):
     foot = FOOT_COUPLING_RATIO * knee
 
     # planar position is (A sin, B cos)-linear in the hip angle
-    l1, l2, l3 = geom.link_lengths
+    l1, l2, l3 = links
     a = l1 + l3 * math.cos(psi) + l2 * math.cos(2.0 * psi)
     b = l3 * math.sin(psi) + l2 * math.sin(2.0 * psi)
     u, v = -x, -z_leg
@@ -280,9 +268,7 @@ def ik_leg(geom: LegGeometry, target: FootTarget) -> Tuple[float, ...]:
 
 def ik_leg_clamped(geom: LegGeometry, target: FootTarget):
     """Like ik_leg but never raises: returns (q, out_of_workspace)."""
-    if geom.dof == 3:
-        return _solve_3dof(geom, target.x, target.y, target.z)
-    return _solve_4dof(geom, target.x, target.y, target.z)
+    return _solve(geom, *target)
 
 
 def fk_all_feet(robot: "RobotDescriptor", q_all: Sequence[Sequence[float]]):

@@ -39,9 +39,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import yaml
 
-from .foot_trajectory import PfParams
+from .foot_trajectory import PfParams, foot_xz
 from .kinematics import ELBOW_DOWN, ELBOW_UP, LegGeometry
-from .oscillator import LIMBS
+from .oscillator import DT_INTEGRATION, LIMBS, MU_MAX
 
 MORPH_ELBOW_UP_ALL = "elbow_up_all"
 MORPH_MIXED = "elbow_up_front_down_hind"
@@ -124,11 +124,28 @@ class RobotDescriptor:
                 f"dof_total {self.dof_total} (16 DoF <=> {MORPH_ANIMAL})")
         if len(self.legs) != 4:
             raise RegistryError(f"{name}: expected 4 legs, got {len(self.legs)}")
+        # bounds on what an episode computes: the foot's largest |x| and |z|
+        # (the widest stride at its four extreme phases) and a joint error of
+        # 4 pi (the 4-DoF knee's span) closed within one substep
+        xs, zs = zip(*(foot_xz(MU_MAX, k * math.pi / 2.0, self.pf) for k in range(4)))
+        x, z = max(map(abs, xs)), max(map(abs, zs))
         for leg in self.legs:
             if 4 * leg.dof != self.dof_total:
                 raise RegistryError(
-                    f"{name}: leg dof {leg.dof} inconsistent with dof_total "
-                    f"{self.dof_total}")
+                    f"{name}: {len(leg.link_lengths)} link_lengths make leg dof {leg.dof}, "
+                    f"inconsistent with dof_total {self.dof_total}")
+            reach = x * x + z * z + leg.dd
+            if leg.dof == 4:
+                reach = leg.qbqb + leg.four_qa * (abs(leg.qk0) + reach)
+            if not math.isfinite(reach):
+                raise RegistryError(
+                    f"{name}: the stride (h, l_step, l_clrnc, l_pntr, x_off, z_off) and "
+                    f"the leg's link_lengths and abd_offset take the IK out of float range")
+        rate = 4.0 * math.pi / DT_INTEGRATION
+        if not math.isfinite(
+                self.dof_total * (self.kp * 4.0 * math.pi + self.kd * rate) * 2.0 * rate):
+            raise RegistryError(
+                f"{name}: kp {self.kp} and kd {self.kd} take the power term out of float range")
 
     @property
     def height_nominal(self) -> float:

@@ -253,6 +253,19 @@ FAILURES = [
     pytest.param(["--registry", "{d}/none.yaml", "robots"], EXIT_CONFIG,
                  "registry error: cannot read registry file '{d}/none.yaml': "
                  + enoent("none.yaml"), id="registry-missing-file"),
+    pytest.param(["--registry", "{d}/list.yaml", "robots"], EXIT_CONFIG,
+                 "registry error: registry file '{d}/list.yaml' must contain a top-level "
+                 "'robots' list", id="registry-top-level-list"),
+    pytest.param(["--registry", "{d}/robots-mapping.yaml", "robots"], EXIT_CONFIG,
+                 "registry error: registry file '{d}/robots-mapping.yaml' must contain a "
+                 "top-level 'robots' list", id="registry-robots-mapping"),
+    pytest.param(["--registry", "{d}/entry-5.yaml", "robots"], EXIT_CONFIG,
+                 "registry error: robot entry must be a mapping, got 5", id="registry-entry-5"),
+    pytest.param(["--registry", "{d}/no-name.yaml", "robots"], EXIT_CONFIG,
+                 "registry error: robot entry missing 'name': {{'height_cm': 35}}",
+                 id="registry-no-name"),
+    pytest.param(["--registry", "{d}/empty-name.yaml", "robots"], EXIT_CONFIG,
+                 "registry error: robot name must be non-empty", id="registry-empty-name"),
     pytest.param(["traj", "--robot", "NoSuchBot", "--out", "{d}/x.csv"], EXIT_CONFIG,
                  f"unknown robot 'NoSuchBot'; available: {BUILTIN_NAMES}",
                  id="traj-unknown-robot"),
@@ -321,6 +334,12 @@ class TestFailureMatrix:
     def inputs(d):
         (d / "bad.yaml").write_text("robots: [unclosed")
         (d / "no-kp.yaml").write_text(NO_KP)
+        (d / "list.yaml").write_text("- {name: Bot}\n")
+        (d / "robots-mapping.yaml").write_text("robots: {Bot: {height_cm: 35}}\n")
+        (d / "entry-5.yaml").write_text("robots: [5]\n")
+        (d / "no-name.yaml").write_text("robots: [{height_cm: 35}]\n")
+        (d / "empty-name.yaml").write_text(NO_KP.replace("name: Bot", "name: ''")
+                                           .replace("kd: 2", "kp: 10, kd: 2"))
         (d / "empty.csv").write_text("")
         (d / "word.csv").write_text("t,vx\n0.0,abc\n")
         columns = record_columns()

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from quadcpg.batch import _Legs
 from quadcpg.foot_trajectory import FootTarget
 from quadcpg.kinematics import (_CLAMP_TOL, ELBOW_DOWN, ELBOW_UP, FOOT_COUPLING_RATIO,
-                                LegGeometry, OutOfWorkspaceError, _solve_3dof,
-                                _solve_4dof, fk_all_feet, fk_leg, ik_leg, ik_leg_clamped)
+                                LegGeometry, OutOfWorkspaceError, _solve, fk_all_feet,
+                                fk_leg, ik_leg, ik_leg_clamped)
 from quadcpg.registry import builtin_registry
 
 GEOM3_UP = LegGeometry(hip_offset=(0.0, 0.0, 0.0), abd_offset=0.05,
@@ -178,7 +178,7 @@ class TestIk4Dof:
         disc = geom.qbqb - geom.four_qa * (geom.qk0 - (x * x + z_leg * z_leg))
         c = (-geom.qb + math.sqrt(disc)) / geom.two_qa
         assert -1.0 - _CLAMP_TOL < c < -1.0
-        q, clamped = _solve_4dof(geom, x, y, z)
+        q, clamped = _solve(geom, x, y, z)
         assert not clamped
         kernel = _Legs(SimpleNamespace(legs=[geom] * 4)).ik(
             *(np.full((1, 4), v) for v in (x, y, z)))
@@ -328,7 +328,7 @@ def old_abduction(d, y, z):
 
 
 def old_solve_3dof(geom, x, y, z):
-    """_solve_3dof as it was, computing its constants on every call."""
+    """_solve on a 3-DoF leg as it was, computing its constants on every call."""
     l1, l2 = geom.link_lengths
     q_abd, z_leg, clamped = old_abduction(geom.abd_offset, y, z)
     rho = math.hypot(x, z_leg)
@@ -359,7 +359,7 @@ def old_solve_3dof(geom, x, y, z):
 
 
 def old_solve_4dof(geom, x, y, z):
-    """_solve_4dof as it was, computing its constants on every call."""
+    """_solve on a 4-DoF leg as it was, computing its constants on every call."""
     l1, l2, l3 = geom.link_lengths
     q_abd, z_leg, clamped = old_abduction(geom.abd_offset, y, z)
     rho2 = x * x + z_leg * z_leg
@@ -457,14 +457,13 @@ class TestSolversEqualTheirPerCallForm:
     def test_random_geometries_and_targets(self, case):
         geom, target = case
         old = old_solve_3dof if geom.dof == 3 else old_solve_4dof
-        new = _solve_3dof if geom.dof == 3 else _solve_4dof
-        assert outcome(new, geom, target) == outcome(old, geom, target)
+        assert outcome(_solve, geom, target) == outcome(old, geom, target)
 
     @pytest.mark.parametrize("geom", [GEOM3_UP, GEOM3_DOWN])
     def test_nan_cos_knee_clamps_to_minus_one(self, geom):
         # x = NaN leaves rho NaN, so no reach branch runs and cos_knee is
         # NaN; min(1.0, max(-1.0, NaN)) is -1.0, the folded knee
-        q, _ = _solve_3dof(geom, math.nan, 0.05, -0.3)
+        q, _ = _solve(geom, math.nan, 0.05, -0.3)
         assert q[2] == (math.pi if geom.knee_config == ELBOW_UP else -math.pi)
 
     def test_every_builtin_leg(self):
@@ -472,11 +471,10 @@ class TestSolversEqualTheirPerCallForm:
         for robot in builtin_registry():
             for geom in robot.legs:
                 old = old_solve_3dof if geom.dof == 3 else old_solve_4dof
-                new = _solve_3dof if geom.dof == 3 else _solve_4dof
                 for _ in range(200):
                     target = (rng.uniform(-0.6, 0.6), rng.uniform(-0.3, 0.3),
                               rng.uniform(-0.9, 0.2))
-                    assert outcome(new, geom, target) == outcome(old, geom, target)
+                    assert outcome(_solve, geom, target) == outcome(old, geom, target)
 
 
 def excursions(geom, x, y, z):
@@ -541,7 +539,7 @@ class TestClampTolerance:
     def test_flag_follows_the_excursion(self, case):
         geom, target = case
         worst = max(excursions(geom, *target))
-        q, clamped = (_solve_3dof if geom.dof == 3 else _solve_4dof)(geom, *target)
+        q, clamped = _solve(geom, *target)
         if worst < _CLAMP_TOL / 2:
             assert not clamped
         if worst > 2 * _CLAMP_TOL:

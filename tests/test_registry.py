@@ -62,6 +62,13 @@ BAD_VALUES = [pytest.param(key, value, named, id=f"{key}-{value}")
               for value in (math.nan, math.inf)]
 BAD_VALUES.append(pytest.param("hip_offsets", [-0.1, -0.03], "hip_offset",
                                id="hip_offsets-2d"))
+# finite, but an episode would overflow: the IK's squares, or the power term
+BAD_VALUES += [pytest.param(key, value, named, id=f"{key}-{value:g}")
+               for key, value, named in (("l_clrnc_cm", 1e308, "l_clrnc"),
+                                         ("l_pntr_cm", 1e308, "l_pntr"),
+                                         ("z_offset_cm", 1e308, "z_off"),
+                                         ("kp", 1e308, "kp"), ("kd", 1e304, "kd"),
+                                         ("kd", 1e299, "kd"))]
 
 
 class TestBuiltins:
@@ -240,7 +247,8 @@ class TestRoundTrip:
 
 
 class TestBoundary:
-    """Every number of a registry entry must be finite; hips have 3 coordinates."""
+    """Every number of a registry entry must be finite, and so must the IK and
+    the power term of every episode it gives; hips have 3 coordinates."""
 
     @pytest.mark.parametrize("key, value, named", BAD_VALUES)
     def test_load_rejects_and_names_robot_and_field(self, tmp_path, key, value, named):
@@ -288,6 +296,9 @@ WRONG_TYPES = [
     pytest.param({"dof": 12.9}, "dof", id="dof-fraction"),
     pytest.param({"dof": math.inf}, "dof", id="dof-inf"),
     pytest.param({"dof": True}, "dof", id="dof-bool"),
+    pytest.param({"dof": 8}, "dof", id="dof-8"),
+    pytest.param({"geometry": {"link_lengths": [0.2, 0.15, 0.1]}}, "link_lengths",
+                 id="link_lengths-three-for-12"),
     pytest.param({"mass_kg": True}, "mass_kg", id="mass_kg-bool"),
     pytest.param({"kd": False}, "kd", id="kd-no"),   # YAML 1.1 reads `no` as false
     pytest.param({"morphology": True}, "morphology", id="morphology-bool"),
@@ -403,6 +414,16 @@ class TestRobotSize:
             load_registry(path)
         assert main(["--registry", path, "robots"]) == EXIT_CONFIG
         assert "Scaled: height_cm" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("height_cm, dof, loads", [
+        (1.0e155, 12, True), (1.0e156, 12, False), (1.0e78, 16, True), (1.0e79, 16, False)])
+    def test_largest_size_that_loads(self, tmp_path, height_cm, dof, loads):
+        path = write_registry(tmp_path / "size.yaml", scaled_entry(height_cm, dof))
+        if loads:
+            assert load_registry(path).get("Scaled").height_nominal == height_cm / 100.0
+        else:
+            with pytest.raises(RegistryError, match="Scaled: the stride .* out of float range"):
+                load_registry(path)
 
     def test_explicit_links_are_named(self, tmp_path):
         entry = copy.deepcopy(GOOD_ENTRY)

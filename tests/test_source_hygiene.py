@@ -173,6 +173,9 @@ def test_each_fact_has_one_owner():
     # the IK's per-leg constants: computed once per LegGeometry, read elsewhere
     for expr in IK_CONSTANTS:
         assert computations_in_src(expr) == [("kinematics.py", "__post_init__")], expr
+    # the IK's abduction: one scalar solver for both leg types, and the kernel's
+    assert computations_in_src("y * y + z * z") == [("batch.py", "ik"),
+                                                     ("kinematics.py", "_solve")]
     # a foot's lateral offset is its leg's abd_offset; y_nominal is only the
     # registry file's name for it, and no per-leg copy of a record is made
     assert [p.name for p in MODULES if "y_nominal" in p.read_text()] == ["registry.py"]
