@@ -15,7 +15,6 @@ from .oscillator import (TROT_PHASES, CpgCommand, CpgConfig, InvalidCommandError
                          init_cpg, step_oscillator)
 from .registry import (Registry, RegistryError, RobotDescriptor, UnknownRobotError,
                        builtin_registry, get_robot, load_registry, save_registry)
-from .batch import evaluate_batch
 from .controllers import (ConstantCommandPolicy, SearchResult,
                           evaluate_constant_command, open_loop_trot,
                           search_constant_command)
@@ -38,3 +37,11 @@ __all__ = [
     "search_constant_command", "step_oscillator", "write_record_csv",
     "write_record_manifest",
 ]
+
+
+def __getattr__(name):
+    # evaluate_batch is the one export that needs numpy: import it on first use
+    if name == "evaluate_batch":
+        from .batch import evaluate_batch
+        return evaluate_batch
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -25,7 +25,7 @@ from typing import Iterable, List, Tuple
 import numpy as np
 
 from .environment import (CONTACT_TOL, N_SUBSTEPS, W_FORWARD, W_ORIENTATION, W_POWER,
-                          QuadrupedEnv, sum_in_order)
+                          QuadrupedEnv, check_horizon, sum_in_order)
 from .kinematics import _CLAMP_TOL, FOOT_COUPLING_RATIO
 from .oscillator import DT_INTEGRATION, TROT_PHASES, TWO_PI, advance, clamp_command
 from .registry import RobotDescriptor
@@ -126,12 +126,6 @@ class _Legs:
             cz = cz + self.links[2] * np.cos(a3)
         z = self.d * np.sin(q[..., 0]) + -cz * np.cos(q[..., 0])
         return -sx + self.hip_x, z + self.hip_z
-
-
-def check_horizon(horizon: int) -> None:
-    """The episode-length rule of evaluate_batch and evaluate_constant_command."""
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
 
 
 def foot_targets(robot: RobotDescriptor, r, theta) -> np.ndarray:

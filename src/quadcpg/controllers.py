@@ -14,8 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .batch import check_horizon, evaluate_batch
-from .environment import QuadrupedEnv
+from .environment import QuadrupedEnv, check_horizon
 from .oscillator import (MU_MAX, MU_MIN, OMEGA_MAX_HZ, OMEGA_MIN_HZ, TROT_PHASES,
                          check_command_box)
 from .registry import RobotDescriptor
@@ -98,6 +97,7 @@ def search_constant_command(robot: RobotDescriptor, budget: int, seed: int = 0,
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
+    from .batch import evaluate_batch   # numpy is imported here, on first use
     rng = random.Random(seed)
     candidates = [(rng.uniform(MU_MIN, MU_MAX), rng.uniform(OMEGA_MIN_HZ, OMEGA_MAX_HZ))
                   for _ in range(budget)]

@@ -45,8 +45,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence, Tuple
 
-import numpy as np
-
 from .foot_trajectory import FootTarget, foot_target, foot_xz
 from .kinematics import _foot_in_hip, _solve, fk_all_feet
 from .oscillator import (DT_INTEGRATION, TROT_PHASES, TWO_PI, OscillatorState,
@@ -86,6 +84,12 @@ def sum_in_order(terms: Iterable):
     for term in terms:
         total = total + term
     return total
+
+
+def check_horizon(horizon: int) -> None:
+    """The episode-length rule of evaluate_batch and evaluate_constant_command."""
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
 
 
 class RewardTerms(NamedTuple):
@@ -132,7 +136,9 @@ class Observation:
     prev_action: Tuple[float, ...]                 # 8, clamped
     cpg_state: Tuple[float, ...]                   # r x4, r_dot x4, theta x4, theta_dot x4
 
-    def to_array(self) -> np.ndarray:
+    def to_array(self):
+        """The 49 values as a numpy array (numpy is imported on first use)."""
+        import numpy as np
         return np.concatenate([
             self.base_orientation,
             self.base_lin_vel,

@@ -37,8 +37,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import yaml
-
 from .foot_trajectory import PfParams, foot_xz
 from .kinematics import ELBOW_DOWN, ELBOW_UP, LegGeometry
 from .oscillator import DT_INTEGRATION, LIMBS, MU_MAX
@@ -372,6 +370,7 @@ def load_registry(path: Optional[str] = None) -> Registry:
     base = builtin_registry()
     if path is None:
         return base
+    import yaml   # imported only when a file is read
     try:
         with open(path) as fh:
             doc = yaml.safe_load(fh)
@@ -403,6 +402,7 @@ def save_registry(registry: Registry, path: str) -> None:
     """Write every descriptor (with explicit geometry) to a YAML file."""
     doc = {"schema_version": 1,
            "robots": [_entry_from_descriptor(r) for r in registry]}
+    import yaml
     with open(path, "w") as fh:
         yaml.safe_dump(doc, fh, sort_keys=False)
 

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from .batch import foot_targets
 from .environment import CONTROL_DT, N_SUBSTEPS, QuadrupedEnv, sum_in_order
 from .oscillator import (ALPHA, DT_INTEGRATION, LIMBS, TROT_PHASES, TWO_PI, advance,
                          check_command_box, init_cpg)
@@ -172,6 +171,7 @@ def run_open_loop_trajectory(robot: RobotDescriptor, mu: float, omega: float,
             r, r_dot, fr, fl, rr, rl = advance(r, r_dot, mu, theta_dot, fr, fl, rr, rl)
         amplitudes.append(r)
         phases.append((fr, fl, rr, rl))
+    from .batch import foot_targets   # numpy is imported here, on first use
     feet = foot_targets(robot, amplitudes, phases).reshape(n_samples, -1).tolist()
     rows = [[(k + 1) * CONTROL_DT, r, r, r, r, *thetas, *targets]
             for k, (r, thetas, targets) in enumerate(zip(amplitudes, phases, feet))]
