@@ -14,6 +14,20 @@ lag -- go substep by substep; every other stage runs once per tile of
 (substep, lane) pairs, so numpy's per-call overhead is paid per tile.
 Every episode runs its whole horizon: the kinematic world cannot fall.
 The scalar `QuadrupedEnv` stays the closed-loop path and the oracle.
+
+Twin legs solve once.  The trot runs its diagonal legs in phase
+(`TROT_PHASES`: FR with RL, FL with RR), so such a pair gets the same x and
+z foot targets, and y = +-abd_offset.  Two legs are twins when they also
+have the same |abd_offset|, link lengths and knee branch: then
+(-d)*(-d) == d*d gives them the same rr, z_leg and abduction clamp flag,
+and the sagittal chain (the reach clamp or knee quadratic, the knee, the
+hip) is the same IEEE operations on the same inputs.  Twins start from the
+same standing joints and are driven to the same desired joints, so the
+joint lag keeps their sagittal joints equal, and the FK's planar sums are
+equal too.  `_Legs` decides the twin classes once per robot and runs those
+stages on one leg of each class; the abduction, the FK's abduction rotation
+and the hip offsets run on every leg.  A mixed robot, whose rear knees bend
+the other way, has four classes and solves every leg.
 """
 
 from __future__ import annotations
@@ -35,6 +49,9 @@ from .registry import RobotDescriptor
 #: of commands or the horizon, bound the kernel's memory.
 TILE_LANE_SUBSTEPS = 800
 
+#: The IK constants of the abduction, which runs on every leg.
+_ABDUCTION = ("dd", "dd_in")
+
 
 def _math(fn, *arrays: np.ndarray) -> np.ndarray:
     """fn applied element by element through `math` to same-shape arrays."""
@@ -47,30 +64,48 @@ def _wrap(angle: np.ndarray) -> np.ndarray:
     return _math(math.atan2, np.sin(angle), np.cos(angle))
 
 
+def _index(legs: List[int]):
+    """legs as an index of the leg axis: a slice when they run 0, 1, ..., so
+    that a robot without twins indexes views, not copies; else an array."""
+    return slice(len(legs)) if legs == list(range(len(legs))) else np.array(legs)
+
+
 class _Legs:
-    """The four legs' geometry and IK constants (`LegGeometry.ik_constants`) as (4,) arrays."""
+    """The four legs' geometry and IK constants (`LegGeometry.ik_constants`):
+    the abduction's over all four legs, the sagittal chain's over the legs in
+    `solved`, one of each twin class, which `twin` maps back to four legs."""
 
     def __init__(self, robot: RobotDescriptor):
         legs = robot.legs
         self.dof = legs[0].dof
-        self.links = [np.array(col) for col in zip(*(leg.link_lengths for leg in legs))]
+        # twins: the same start phase, |abd_offset|, links and knee branch
+        keys = [(phase, abs(leg.abd_offset), leg.link_lengths, leg.knee_config)
+                for phase, leg in zip(TROT_PHASES, legs)]
+        classes = list(dict.fromkeys(keys))   # in order of first appearance
+        solved = [keys.index(key) for key in classes]
+        self.solved = _index(solved)
+        self.twin = _index([classes.index(key) for key in keys])
+        sagittal = [legs[i] for i in solved]
+        self.links = [np.array(col) for col in zip(*(leg.link_lengths for leg in sagittal))]
         self.d = np.array([leg.abd_offset for leg in legs])
         self.hip_x, _, self.hip_z = np.array([leg.hip_offset for leg in legs]).T
         for name in legs[0].ik_constants:
-            setattr(self, name, np.array([getattr(leg, name) for leg in legs]))
+            on = legs if name in _ABDUCTION else sagittal
+            setattr(self, name, np.array([getattr(leg, name) for leg in on]))
 
     def ik(self, x, y, z):
-        """kinematics._solve over (N, 4) targets: q as (N, 4, dof).
-        The 3-DoF clamp flags go unread, so are not computed."""
-        rr = y * y + z * z
-        inside = rr < self.dd
-        clamped = inside & (rr < self.dd_in)
-        rr = np.where(inside, self.dd, rr)
+        """kinematics._solve over (N, 4) targets: q as (N, 4, dof).  Twin legs
+        get the same x and z, so the sagittal chain runs on `solved` only.
+        The clamp flags are computed only where read, by the 4-DoF projection."""
+        yyzz = y * y + z * z
+        inside = yyzz < self.dd
+        rr = np.where(inside, self.dd, yyzz)
         z_leg = -np.sqrt(rr - self.dd)
         positive = rr > 0.0
         ratio = np.where(positive, self.d / np.sqrt(np.where(positive, rr, 1.0)), 1.0)
         ratio = np.minimum(1.0, np.maximum(-1.0, ratio))
         q_abd = _wrap(_math(math.atan2, z, y) + _math(math.acos, ratio))
+        x, z_leg = x[..., self.solved], z_leg[..., self.solved]
         if self.dof == 3:
             l1, l2 = self.links
             rho = _math(math.hypot, x, z_leg)
@@ -87,9 +122,10 @@ class _Legs:
             a = l1 + l2 * np.cos(knee)
             b = l2 * np.sin(knee)
             hip = _math(math.atan2, -x, -z_leg) - _math(math.atan2, b, a)
-            return np.stack((q_abd, _wrap(hip), knee), axis=-1)
+            return self._joints(q_abd, _wrap(hip), knee)
 
         l1, l2, l3 = self.links
+        clamped = (inside & (yyzz < self.dd_in))[..., self.solved]
         qk = self.qk0 - (x * x + z_leg * z_leg)
         disc = self.qbqb - self.four_qa * qk
         negative = disc < 0.0
@@ -111,19 +147,26 @@ class _Legs:
             u[clamped] = np.where(zero, 0.0, u[clamped] * scale)
             v[clamped] = np.where(zero, reach, v[clamped] * scale)
         hip = _math(math.atan2, u, v) - _math(math.atan2, b, a)
-        return np.stack((q_abd, _wrap(hip), knee, FOOT_COUPLING_RATIO * knee), axis=-1)
+        return self._joints(q_abd, _wrap(hip), knee, FOOT_COUPLING_RATIO * knee)
+
+    def _joints(self, q_abd, *sagittal):
+        """(N, 4, dof) joints: each leg's abduction, then its twin class's sagittal joints."""
+        return np.stack((q_abd, *(joint[..., self.twin] for joint in sagittal)), axis=-1)
 
     def feet_xz(self, q):
-        """Body-frame foot x and z of fk_all_feet over (N, 4, dof) joints."""
-        a1 = q[..., 1]
-        a2 = q[..., 1] + q[..., 2]
+        """Body-frame foot x and z of fk_all_feet over (N, 4, dof) joints in
+        which twin legs hold equal sagittal joints, as they do all episode."""
+        sagittal = q[..., self.solved, :]
+        a1 = sagittal[..., 1]
+        a2 = a1 + sagittal[..., 2]
         l1, l2 = self.links[:2]
         sx = l1 * np.sin(a1) + l2 * np.sin(a2)
         cz = l1 * np.cos(a1) + l2 * np.cos(a2)
         if self.dof == 4:
-            a3 = a2 + q[..., 3]
+            a3 = a2 + sagittal[..., 3]
             sx = sx + self.links[2] * np.sin(a3)
             cz = cz + self.links[2] * np.cos(a3)
+        sx, cz = sx[..., self.twin], cz[..., self.twin]
         z = self.d * np.sin(q[..., 0]) + -cz * np.cos(q[..., 0])
         return -sx + self.hip_x, z + self.hip_z
 

@@ -5,21 +5,25 @@ command) is the oracle; every return of `evaluate_batch` must equal it
 with ==, not within a tolerance.
 """
 
+import dataclasses
+import math
 import random
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quadcpg import batch
 from quadcpg.batch import evaluate_batch
 from quadcpg.controllers import evaluate_constant_command, search_constant_command
 from quadcpg.environment import N_SUBSTEPS, QuadrupedEnv
-from quadcpg.oscillator import (MU_MAX, MU_MIN, OMEGA_MAX_HZ, OMEGA_MIN_HZ,
-                                TROT_PHASES)
-from quadcpg.registry import builtin_registry
+from quadcpg.kinematics import ELBOW_DOWN, ELBOW_UP, LegGeometry
+from quadcpg.oscillator import (LIMBS, MU_MAX, MU_MIN, OMEGA_MAX_HZ, OMEGA_MIN_HZ,
+                                TROT_PHASES, TWO_PI)
+from quadcpg.registry import RegistryError, builtin_registry
 
 REG = builtin_registry()
 HORIZON = 60
@@ -175,3 +179,108 @@ def test_memory_does_not_grow_with_the_budget():
                 for _ in range(2000)]
     evaluate_batch(robot, commands[:3], 2)   # first-call allocations stay out of the peaks
     assert peak_bytes(robot, commands, 2) <= 1.25 * peak_bytes(robot, commands[:200], 2)
+
+
+#: The built-ins whose rear knees bend the other way (elbow_down).
+MIXED = {"Little Dog", "Solo", "Anymal-B", "Anymal-C", "HYQ"}
+
+
+@pytest.mark.parametrize("robot", list(REG), ids=REG.names())
+def test_twin_classes(robot):
+    legs = batch._Legs(robot)
+    solved = np.array(LIMBS)[legs.solved]
+    if robot.name in MIXED:
+        assert solved[legs.twin].tolist() == solved.tolist() == list(LIMBS)
+    else:   # the trot's diagonal pairs: FR with RL, FL with RR
+        assert solved.tolist() == ["fr", "fl"]
+        assert solved[legs.twin].tolist() == ["fr", "fl", "fl", "fr"]
+
+
+def math_elements(robot):
+    """Elements per `_math` call, in call order, of one `_Legs.ik` over a
+    nominal trot period of 100 targets per leg."""
+    theta = np.add.outer(np.linspace(0.0, TWO_PI, 100), TROT_PHASES)
+    targets = batch.foot_targets(robot, np.ones(100), theta)
+    sizes, real = [], batch._math
+
+    def counting(fn, *arrays):
+        sizes.append(arrays[0].size)
+        return real(fn, *arrays)
+
+    with mock.patch.object(batch, "_math", counting):
+        batch._Legs(robot).ik(*np.moveaxis(targets, -1, 0))
+    return sizes
+
+
+@pytest.mark.parametrize("name, solved", [("Dog3", 2), ("A1", 2), ("Little Dog", 4)])
+def test_sagittal_math_runs_once_per_twin_class(name, solved):
+    sizes = math_elements(REG.get(name))
+    abduction, sagittal = sizes[:3], sizes[3:]   # atan2(z, y), acos(ratio), the wrap
+    assert abduction == [4 * 100] * 3
+    assert len(sagittal) >= 4 and set(sagittal) == {solved * 100}
+
+
+def nudged(robot, **rl):
+    """`robot` with its RL leg (FR's twin) changed as `rl` says."""
+    rl = dataclasses.replace(robot.legs[3], **rl)
+    return dataclasses.replace(robot, legs=robot.legs[:3] + (rl,))
+
+
+def wide(name, d=0.3):
+    """The built-in `name` with every |abd_offset| = d.  A narrow leg's
+    z_leg = -sqrt(rr - dd) rounds to -|z| whatever the low bits of d, so one
+    step in d shows only on legs about as wide as they are tall."""
+    robot = REG.get(name)
+    return dataclasses.replace(robot, legs=tuple(
+        dataclasses.replace(leg, abd_offset=math.copysign(d, leg.abd_offset))
+        for leg in robot.legs))
+
+
+def ulp(value):
+    return math.nextafter(value, math.inf)
+
+
+@st.composite
+def drawn_robots(draw):
+    """A built-in's gait and gains on four independently drawn legs: the
+    template's leg values, one float step off them, or anything in range."""
+    base = REG.get(draw(st.sampled_from(["A1", "Dog3"])))
+    links0 = base.legs[0].link_lengths
+    d0 = draw(st.just(abs(base.legs[0].abd_offset)) | st.floats(0.0, 2.0 * base.height_nominal))
+
+    def value(v):   # mostly the template's own, so that legs are often twins
+        drawn = draw(st.sampled_from([v] * 6 + [ulp(v), math.nextafter(v, 0.0), None]))
+        return draw(st.floats(0.5 * v, 1.5 * v)) if drawn is None else drawn
+
+    legs = []
+    for own in base.legs:
+        links = list(links0)
+        for i in draw(st.sets(st.sampled_from(range(len(links))), max_size=len(links))):
+            links[i] = value(links[i])
+        legs.append(LegGeometry(
+            hip_offset=draw(st.just(own.hip_offset) | st.tuples(*[st.floats(-0.5, 0.5)] * 3)),
+            abd_offset=draw(st.sampled_from([1.0, -1.0])) * value(d0),
+            link_lengths=tuple(links),
+            knee_config=draw(st.sampled_from([ELBOW_UP] * 3 + [ELBOW_DOWN]))))
+    try:
+        return dataclasses.replace(base, name="Drawn", legs=tuple(legs))
+    except RegistryError:
+        assume(False)
+
+
+A1_LINKS = REG.get("A1").legs[3].link_lengths
+
+
+@settings(max_examples=40, deadline=None)
+@given(robot=drawn_robots(), commands=st.lists(COMMANDS, min_size=1, max_size=3),
+       horizon=st.integers(1, 12))
+@example(robot=nudged(wide("Dog3"), abd_offset=ulp(0.3)),
+         commands=[(1.0, 2.5), (4.0, 5.0)], horizon=3)
+@example(robot=nudged(REG.get("A1"), link_lengths=(ulp(A1_LINKS[0]), A1_LINKS[1])),
+         commands=[(1.0, 2.5), (4.0, 5.0)], horizon=12)
+@example(robot=nudged(REG.get("A1"), knee_config=ELBOW_DOWN), commands=[(1.0, 2.5)],
+         horizon=12)
+@example(robot=nudged(REG.get("Dog3"), hip_offset=(0.0, 0.1, 0.05)), commands=[(1.0, 2.5)],
+         horizon=12)
+def test_twin_sharing_equals_scalar(robot, commands, horizon):
+    assert evaluate_batch(robot, commands, horizon) == scalar_returns(robot, commands, horizon)
