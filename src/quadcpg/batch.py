@@ -24,10 +24,13 @@ and the sagittal chain (the reach clamp or knee quadratic, the knee, the
 hip) is the same IEEE operations on the same inputs.  Twins start from the
 same standing joints and are driven to the same desired joints, so the
 joint lag keeps their sagittal joints equal, and the FK's planar sums are
-equal too.  `_Legs` decides the twin classes once per robot and runs those
-stages on one leg of each class; the abduction, the FK's abduction rotation
-and the hip offsets run on every leg.  A mixed robot, whose rear knees bend
-the other way, has four classes and solves every leg.
+equal too.  `_Legs` takes the twin classes from `environment.twin_legs`,
+which owns the twin key and serves `QuadrupedEnv` too, once per robot and
+runs those stages on one leg of each class; the abduction, the FK's
+abduction rotation and the hip offsets run on every leg.  A mixed robot,
+whose rear knees bend the other way, has four classes and solves every
+leg.  As in the scalar solver, the abduction's wrap skips angles below
+`kinematics.TINY_ANGLE`, its own wrap there: a trot's are 0 up to rounding.
 """
 
 from __future__ import annotations
@@ -39,8 +42,8 @@ from typing import Iterable, List, Tuple
 import numpy as np
 
 from .environment import (CONTACT_TOL, N_SUBSTEPS, W_FORWARD, W_ORIENTATION, W_POWER,
-                          QuadrupedEnv, check_horizon, sum_in_order)
-from .kinematics import _CLAMP_TOL, FOOT_COUPLING_RATIO
+                          QuadrupedEnv, check_horizon, sum_in_order, twin_legs)
+from .kinematics import _CLAMP_TOL, FOOT_COUPLING_RATIO, TINY_ANGLE
 from .oscillator import DT_INTEGRATION, TROT_PHASES, TWO_PI, advance, clamp_command
 from .registry import RobotDescriptor
 
@@ -78,13 +81,10 @@ class _Legs:
     def __init__(self, robot: RobotDescriptor):
         legs = robot.legs
         self.dof = legs[0].dof
-        # twins: the same start phase, |abd_offset|, links and knee branch
-        keys = [(phase, abs(leg.abd_offset), leg.link_lengths, leg.knee_config)
-                for phase, leg in zip(TROT_PHASES, legs)]
-        classes = list(dict.fromkeys(keys))   # in order of first appearance
-        solved = [keys.index(key) for key in classes]
+        source = twin_legs(legs, TROT_PHASES)
+        solved = list(dict.fromkeys(source))   # one leg of each class, in order
         self.solved = _index(solved)
-        self.twin = _index([classes.index(key) for key in keys])
+        self.twin = _index([solved.index(leg) for leg in source])
         sagittal = [legs[i] for i in solved]
         self.links = [np.array(col) for col in zip(*(leg.link_lengths for leg in sagittal))]
         self.d = np.array([leg.abd_offset for leg in legs])
@@ -104,7 +104,10 @@ class _Legs:
         positive = rr > 0.0
         ratio = np.where(positive, self.d / np.sqrt(np.where(positive, rr, 1.0)), 1.0)
         ratio = np.minimum(1.0, np.maximum(-1.0, ratio))
-        q_abd = _wrap(_math(math.atan2, z, y) + _math(math.acos, ratio))
+        q_abd = _math(math.atan2, z, y) + _math(math.acos, ratio)
+        wrap = ~(np.abs(q_abd) < TINY_ANGLE)   # a tiny angle is its own wrap
+        if wrap.any():
+            q_abd[wrap] = _wrap(q_abd[wrap])
         x, z_leg = x[..., self.solved], z_leg[..., self.solved]
         if self.dof == 3:
             l1, l2 = self.links

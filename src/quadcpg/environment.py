@@ -19,6 +19,22 @@ state flows back into oscillator -> pattern formation -> IK) and a leg's
 joints and FK read no other leg, so every value is computed from the same
 inputs by the same operations, only at a different time.
 
+Twin legs solve once.  `twin_legs` pairs a leg with an earlier one of the
+same start phase, |abd_offset|, link lengths and knee branch: a trot's
+diagonal legs on a robot whose knees bend alike.  `reset` records the
+pairs; a pair stays in lockstep until a step commands its legs a different
+clamped mu or omega, then solves on its own until the next reset.  In
+lockstep both legs have had equal inputs at every step since reset, so by
+induction the same IEEE operations gave them the same r, r_dot, theta and
+x, z targets, and y = +-abd_offset with (-d)*(-d) == d*d the same rr,
+abduction clamp flag and pitch joints.  So the twin takes its source's
+oscillator, pattern formation and pitch joints and solves its own
+abduction; its oscillator state keeps its own theta_dot (an omega of -0.0
+is == to 0.0 but shows in the observation).  The backend runs the pitch
+joints' lag and torques and the FK's planar sums once per pair.  Only
+`reset` writes the env's or the backend's state between steps.  With no
+pair in lockstep, none of this runs.
+
 The observation is a fixed 49-vector for every robot, regardless of DoF
 count and morphology:
 
@@ -43,7 +59,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence, Tuple
+from itertools import islice
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .foot_trajectory import FootTarget, foot_target, foot_xz
 from .kinematics import _foot_in_hip, _solve, fk_all_feet
@@ -72,6 +89,9 @@ LAG_TAU_MAX = 0.005
 CONTACT_TOL = 1e-9
 
 
+#: The twin map of four legs that are each their own source: no twins.
+_ALONE = [0, 1, 2, 3]
+
 #: An oscillator at zero amplitude and phase: its foot target is the
 #: pattern-formation set-point, the standing pose of `reset`.
 _AT_REST = OscillatorState(0.0, 0.0, 0.0, 0.0)
@@ -84,6 +104,16 @@ def sum_in_order(terms: Iterable):
     for term in terms:
         total = total + term
     return total
+
+
+def twin_legs(legs, phases: Sequence[float]) -> List[int]:
+    """Each leg's twin source: the first leg with its start phase,
+    |abd_offset|, link lengths and knee branch, itself if no earlier leg has
+    them.  Driven by equal commands, twins solve their sagittal chain alike
+    (module docstring); `batch._Legs` and `QuadrupedEnv.reset` both ask here."""
+    keys = [(phase, abs(leg.abd_offset), leg.link_lengths, leg.knee_config)
+            for phase, leg in zip(phases, legs)]
+    return [keys.index(key) for key in keys]
 
 
 def check_horizon(horizon: int) -> None:
@@ -188,25 +218,37 @@ class KinematicBackend:
         self.foot_contacts = tuple(robot.height_nominal + f[2] <= CONTACT_TOL
                                    for f in self._feet)
 
-    def advance(self, q_des) -> None:
+    def advance(self, q_des, twin: Optional[Sequence[int]] = None) -> None:
         """One control step: q_des holds each substep's desired joint positions,
         a row of four legs per substep, run in order.
 
         Each leg runs its joint lag and its FK through every substep first;
         the torques are those of the last substep, the ones the reward
         reads.  Then contacts, stance sums and the base go substep by
-        substep, over the legs in order.
+        substep, over the legs in order.  `twin`, if given, maps each leg to
+        itself or to an earlier leg s whose desired pitch joints and joint
+        state it shares, a twin in lockstep (module docstring): the leg then
+        takes leg s's pitch joints, velocities, torques and planar FK sums,
+        and runs only its abduction joint and the FK's rotation.
         """
         robot = self.robot
         kp, kd = robot.kp, robot.kd
         a, dt = self.lag_factor, DT_INTEGRATION
 
+        sums = [None] * 4   # per leg a twin reads, its planar FK sums at each substep
         paths = []   # per leg, its body-frame foot after each substep
         for i, (geom, q, qd, trq) in enumerate(zip(
                 robot.legs, self.joint_positions, self.joint_velocities,
                 self.joint_torques)):
+            s = i if twin is None else twin[i]
+            joints = zip(*(row[i] for row in q_des))
+            if s != i:   # the abduction joint; the pitch joints are leg s's
+                joints = islice(joints, 1)
+                q[1:] = self.joint_positions[s][1:]
+                qd[1:] = self.joint_velocities[s][1:]
+                trq[1:] = self.joint_torques[s][1:]
             cols = []   # per joint, its position after each substep
-            for j, des_j in enumerate(zip(*(row[i] for row in q_des))):
+            for j, des_j in enumerate(joints):
                 qj, dq = q[j], None
                 col = []
                 for des in des_j[:-1]:
@@ -223,9 +265,19 @@ class KinematicBackend:
             links, d = geom.link_lengths, geom.abd_offset
             hx, hy, hz = geom.hip_offset
             path = []
-            for qk in zip(*cols):
-                fx, fy, fz = _foot_in_hip(links, d, qk)
-                path.append((fx + hx, fy + hy, fz + hz))
+            if s != i:   # leg s's planar sums, rotated by this leg's abduction
+                for q_abd, planar in zip(cols[0], sums[s]):
+                    fx, fy, fz = _foot_in_hip(links, d, (q_abd,), planar)
+                    path.append((fx + hx, fy + hy, fz + hz))
+            elif twin is not None and i in twin[i + 1:]:   # a twin reads its sums
+                sums[i] = keep = []
+                for qk in zip(*cols):
+                    fx, fy, fz = _foot_in_hip(links, d, qk, None, keep)
+                    path.append((fx + hx, fy + hy, fz + hz))
+            else:
+                for qk in zip(*cols):
+                    fx, fy, fz = _foot_in_hip(links, d, qk)
+                    path.append((fx + hx, fy + hy, fz + hz))
             paths.append(path)
 
         bx, by, bz = self.base_pos
@@ -295,6 +347,9 @@ class QuadrupedEnv:
         """
         robot = self.robot
         self._cpg = init_cpg(initial_phases)
+        # the twin pairs, in lockstep until their commands part them
+        twin = twin_legs(robot.legs, [s.theta for s in self._cpg])
+        self._twin = None if twin == _ALONE else twin
         standing = (_solve(leg, *foot_target(_AT_REST, robot.pf, leg.abd_offset))
                     for leg in robot.legs)
         self.backend.reset([q for q, _ in standing])
@@ -311,30 +366,59 @@ class QuadrupedEnv:
             raise RuntimeError("environment must be reset before stepping")
         cmd = clamp_command(action)
         mu, omega = cmd.mu, cmd.omega
+        twin = self._twin
 
-        # Leg-major, exact because the chain takes no feedback (module docstring).
+        # Leg-major, exact because the chain takes no feedback; a twin
+        # takes its source's chain (module docstring).
         backend = self.backend
         cpg = self._cpg
         pf = self.robot.pf
         q_des = [[None] * 4 for _ in range(N_SUBSTEPS)]
         targets = [None] * 4
+        zs = [None] * 4   # per leg a twin reads, its target's z at each substep
+        clamps = [0] * 4   # per leg, its IK clamp flags
         workspace_violations = 0
         for i, leg in enumerate(self.robot.legs):
+            y = leg.abd_offset
+            leg_zs = None
+            if twin is not None:
+                s = twin[i]
+                if s != i:
+                    if mu[i] == mu[s] and omega[i] == omega[s]:
+                        # leg s's oscillator, (x, z) and pitch joints; its own abduction
+                        for row, z in zip(q_des, zs[s]):
+                            row[i] = _solve(leg, None, y, z, row[s])[0]
+                        r, r_dot, theta, _ = cpg[s]
+                        # its own theta_dot: an omega of -0.0 passes == against 0.0
+                        cpg[i] = OscillatorState(r, r_dot, theta, TWO_PI * omega[i])
+                        x, _, z = targets[s]
+                        targets[i] = FootTarget(x, y, z)
+                        workspace_violations += clamps[s]   # equal rr, equal flags
+                        continue
+                    twin[i] = i   # out of lockstep until the next reset
+                if i in twin[i + 1:]:
+                    leg_zs = zs[i] = []
             mu_i, theta_dot = mu[i], TWO_PI * omega[i]
             r, r_dot, theta, _ = cpg[i]
-            y = leg.abd_offset
+            n = 0
             for row in q_des:
                 r, r_dot, theta = advance(r, r_dot, mu_i, theta_dot, theta)
                 x, z = foot_xz(r, theta, pf)
                 q, clamped = _solve(leg, x, y, z)
                 if clamped:
-                    workspace_violations += 1
+                    n += 1
                 row[i] = q
+                if leg_zs is not None:
+                    leg_zs.append(z)
+            clamps[i] = n
+            workspace_violations += n
             cpg[i] = OscillatorState(r, r_dot, theta, theta_dot)
             targets[i] = FootTarget(x, y, z)
+        if twin == _ALONE:   # every pair out of lockstep
+            self._twin = twin = None
 
         x0 = backend.base_pos[0]
-        backend.advance(q_des)
+        backend.advance(q_des, twin)
 
         f_x = backend.base_pos[0] - x0
         qdot = [v for leg in backend.joint_velocities for v in leg]

@@ -33,7 +33,13 @@ of links, in the layout of the batch kernel's ``batch._Legs.ik``.  It clamps
 an unreachable target to the workspace boundary and flags it.  Only
 ``ik_leg`` raises, OutOfWorkspaceError carrying the clamped joint vector;
 the environment calls ``_solve`` and counts the flags in
-``info["workspace_violations"]``.
+``info["workspace_violations"]``.  A twin leg (``environment.twin_legs``)
+stops ``_solve`` after its abduction and takes its source's pitch joints;
+``_foot_in_hip``, the one FK body, likewise hands a leg's planar sums to its
+twin.  Both skip the cos, sin and atan2 of an abduction angle below
+``TINY_ANGLE``, where their results are known bit for bit; pattern
+formation sets y = abd_offset, so a foot target's abduction is 0 up to
+rounding.
 """
 
 from __future__ import annotations
@@ -56,6 +62,11 @@ _CLAMP_TOL = 1e-9
 
 #: The one distal coupling ratio with a closed-form reduction.
 FOOT_COUPLING_RATIO = -0.5
+
+#: Below this magnitude an angle is its own wrap, atan2(sin a, cos a) == a
+#: bit for bit: cos a rounds to 1.0, and sin a and atan a round back to a.
+#: NaN is not below it.
+TINY_ANGLE = 2.0 ** -27
 
 
 class OutOfWorkspaceError(ValueError):
@@ -133,24 +144,36 @@ class LegGeometry:
         return reach
 
 
-def _foot_in_hip(links: Sequence[float], d: float, q: Sequence[float]):
-    """(x, y, z) of the foot in the hip frame: the planar chain of 2 or 3
-    links, then the abduction rotation; the one body of both FK functions."""
-    if len(links) == 2:
-        l1, l2 = links
-        q_abd, a1, q_knee = q
-        a2 = a1 + q_knee
-        sx = l1 * math.sin(a1) + l2 * math.sin(a2)
-        cz = l1 * math.cos(a1) + l2 * math.cos(a2)
+def _foot_in_hip(links: Sequence[float], d: float, q: Sequence[float],
+                 planar=None, sums=None):
+    """(x, y, z) of the foot in the hip frame: the sums (sx, cz) of the planar
+    chain of 2 or 3 links over q's pitch joints, then the rotation by its
+    abduction q[0]; the one body of both FK functions and the backend's.
+    A leg with a twin appends its sums to `sums`, and the twin passes them
+    back as `planar` with a pose q of its abduction alone."""
+    if planar is None:
+        if len(links) == 2:
+            l1, l2 = links
+            q_abd, a1, q_knee = q
+            a2 = a1 + q_knee
+            sx = l1 * math.sin(a1) + l2 * math.sin(a2)
+            cz = l1 * math.cos(a1) + l2 * math.cos(a2)
+        else:
+            l1, l2, l3 = links
+            q_abd, a1, q_knee, q_foot = q
+            a2 = a1 + q_knee
+            a3 = a2 + q_foot
+            sx = l1 * math.sin(a1) + l2 * math.sin(a2) + l3 * math.sin(a3)
+            cz = l1 * math.cos(a1) + l2 * math.cos(a2) + l3 * math.cos(a3)
+        if sums is not None:
+            sums.append((sx, cz))
     else:
-        l1, l2, l3 = links
-        q_abd, a1, q_knee, q_foot = q
-        a2 = a1 + q_knee
-        a3 = a2 + q_foot
-        sx = l1 * math.sin(a1) + l2 * math.sin(a2) + l3 * math.sin(a3)
-        cz = l1 * math.cos(a1) + l2 * math.cos(a2) + l3 * math.cos(a3)
+        (q_abd,), (sx, cz) = q, planar
     zp = -cz
-    c0, s0 = math.cos(q_abd), math.sin(q_abd)
+    if abs(q_abd) < TINY_ANGLE:   # cos rounds to 1.0, sin to the angle
+        c0, s0 = 1.0, q_abd
+    else:
+        c0, s0 = math.cos(q_abd), math.sin(q_abd)
     return -sx, d * c0 - zp * s0, d * s0 + zp * c0
 
 
@@ -161,8 +184,12 @@ def fk_leg(geom: LegGeometry, q: Sequence[float]) -> FootTarget:
     return FootTarget(*_foot_in_hip(geom.link_lengths, geom.abd_offset, q))
 
 
-def _solve(geom: LegGeometry, x: float, y: float, z: float):
-    """Closed-form solution of a 3- or 4-DoF leg; returns (q, clamped)."""
+def _solve(geom: LegGeometry, x: float, y: float, z: float, pitch=None):
+    """Closed-form solution of a 3- or 4-DoF leg; returns (q, clamped).
+
+    A twin leg passes its source's joint tuple as `pitch`: it solves its own
+    abduction, takes the source's pitch joints and gets the abduction's clamp
+    flag; x is not read."""
     # abduction: the leg plane through (y, z), clamped to the abduction circle
     d, dd = geom.abd_offset, geom.dd
     rr = y * y + z * z
@@ -170,7 +197,6 @@ def _solve(geom: LegGeometry, x: float, y: float, z: float):
     if rr < dd:
         clamped = rr < geom.dd_in
         rr = dd
-    z_leg = -math.sqrt(rr - dd)
     ratio = d / math.sqrt(rr) if rr > 0.0 else 1.0
     if not ratio > -1.0:   # min(1.0, max(-1.0, ratio)), NaN to -1.0 as well
         ratio = -1.0
@@ -178,7 +204,11 @@ def _solve(geom: LegGeometry, x: float, y: float, z: float):
         ratio = 1.0
     q_abd = math.atan2(z, y) + math.acos(ratio)
     # wrap to (-pi, pi] for a continuous solution around zero
-    q_abd = math.atan2(math.sin(q_abd), math.cos(q_abd))
+    if not abs(q_abd) < TINY_ANGLE:
+        q_abd = math.atan2(math.sin(q_abd), math.cos(q_abd))
+    if pitch is not None:
+        return (q_abd,) + pitch[1:], clamped
+    z_leg = -math.sqrt(rr - dd)
 
     links = geom.link_lengths
     if len(links) == 2:

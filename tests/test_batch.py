@@ -2,7 +2,8 @@
 
 `evaluate_constant_command` (one `QuadrupedEnv` reset/step loop per
 command) is the oracle; every return of `evaluate_batch` must equal it
-with ==, not within a tolerance.
+with ==, not within a tolerance.  Twin legs share work in both paths, so
+the twin property's oracle is `oracles.substep_return`, which shares none.
 """
 
 import dataclasses
@@ -13,17 +14,18 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import drawn_robots, substep_return, ulp
 from quadcpg import batch
 from quadcpg.batch import evaluate_batch
 from quadcpg.controllers import evaluate_constant_command, search_constant_command
 from quadcpg.environment import N_SUBSTEPS, QuadrupedEnv
-from quadcpg.kinematics import ELBOW_DOWN, ELBOW_UP, LegGeometry
+from quadcpg.kinematics import ELBOW_DOWN
 from quadcpg.oscillator import (LIMBS, MU_MAX, MU_MIN, OMEGA_MAX_HZ, OMEGA_MIN_HZ,
                                 TROT_PHASES, TWO_PI)
-from quadcpg.registry import RegistryError, builtin_registry
+from quadcpg.registry import builtin_registry
 
 REG = builtin_registry()
 HORIZON = 60
@@ -196,28 +198,36 @@ def test_twin_classes(robot):
         assert solved[legs.twin].tolist() == ["fr", "fl", "fl", "fr"]
 
 
-def math_elements(robot):
-    """Elements per `_math` call, in call order, of one `_Legs.ik` over a
-    nominal trot period of 100 targets per leg."""
+def math_calls(robot):
+    """(function, elements) of each `_math` call, in call order, of one
+    `_Legs.ik` over a nominal trot period of 100 targets per leg."""
     theta = np.add.outer(np.linspace(0.0, TWO_PI, 100), TROT_PHASES)
     targets = batch.foot_targets(robot, np.ones(100), theta)
-    sizes, real = [], batch._math
+    calls, real = [], batch._math
 
     def counting(fn, *arrays):
-        sizes.append(arrays[0].size)
+        calls.append((fn.__name__, arrays[0].size))
         return real(fn, *arrays)
 
     with mock.patch.object(batch, "_math", counting):
         batch._Legs(robot).ik(*np.moveaxis(targets, -1, 0))
-    return sizes
+    return calls
+
+
+#: The sagittal chain's `_math` calls: the 3-DoF reach and knee, the 4-DoF
+#: knee (no clamp projection on the nominal trot), then the hip and its wrap.
+SAGITTAL_MATH = {3: ["hypot", "acos", "atan2", "atan2", "atan2"],
+                 4: ["acos", "atan2", "atan2", "atan2"]}
 
 
 @pytest.mark.parametrize("name, solved", [("Dog3", 2), ("A1", 2), ("Little Dog", 4)])
 def test_sagittal_math_runs_once_per_twin_class(name, solved):
-    sizes = math_elements(REG.get(name))
-    abduction, sagittal = sizes[:3], sizes[3:]   # atan2(z, y), acos(ratio), the wrap
-    assert abduction == [4 * 100] * 3
-    assert len(sagittal) >= 4 and set(sagittal) == {solved * 100}
+    robot = REG.get(name)
+    calls = math_calls(robot)
+    # the abduction's atan2(z, y) and acos(ratio) run on all four legs; its
+    # wrap sees no element, as a trot's abduction angle is 0 up to rounding
+    assert calls[:2] == [("atan2", 4 * 100), ("acos", 4 * 100)]
+    assert calls[2:] == [(fn, solved * 100) for fn in SAGITTAL_MATH[robot.legs[0].dof]]
 
 
 def nudged(robot, **rl):
@@ -236,38 +246,6 @@ def wide(name, d=0.3):
         for leg in robot.legs))
 
 
-def ulp(value):
-    return math.nextafter(value, math.inf)
-
-
-@st.composite
-def drawn_robots(draw):
-    """A built-in's gait and gains on four independently drawn legs: the
-    template's leg values, one float step off them, or anything in range."""
-    base = REG.get(draw(st.sampled_from(["A1", "Dog3"])))
-    links0 = base.legs[0].link_lengths
-    d0 = draw(st.just(abs(base.legs[0].abd_offset)) | st.floats(0.0, 2.0 * base.height_nominal))
-
-    def value(v):   # mostly the template's own, so that legs are often twins
-        drawn = draw(st.sampled_from([v] * 6 + [ulp(v), math.nextafter(v, 0.0), None]))
-        return draw(st.floats(0.5 * v, 1.5 * v)) if drawn is None else drawn
-
-    legs = []
-    for own in base.legs:
-        links = list(links0)
-        for i in draw(st.sets(st.sampled_from(range(len(links))), max_size=len(links))):
-            links[i] = value(links[i])
-        legs.append(LegGeometry(
-            hip_offset=draw(st.just(own.hip_offset) | st.tuples(*[st.floats(-0.5, 0.5)] * 3)),
-            abd_offset=draw(st.sampled_from([1.0, -1.0])) * value(d0),
-            link_lengths=tuple(links),
-            knee_config=draw(st.sampled_from([ELBOW_UP] * 3 + [ELBOW_DOWN]))))
-    try:
-        return dataclasses.replace(base, name="Drawn", legs=tuple(legs))
-    except RegistryError:
-        assume(False)
-
-
 A1_LINKS = REG.get("A1").legs[3].link_lengths
 
 
@@ -283,4 +261,6 @@ A1_LINKS = REG.get("A1").legs[3].link_lengths
 @example(robot=nudged(REG.get("Dog3"), hip_offset=(0.0, 0.1, 0.05)), commands=[(1.0, 2.5)],
          horizon=12)
 def test_twin_sharing_equals_scalar(robot, commands, horizon):
-    assert evaluate_batch(robot, commands, horizon) == scalar_returns(robot, commands, horizon)
+    # the oracle shares no work between legs: env.step shares as the kernel does
+    assert evaluate_batch(robot, commands, horizon) == [
+        substep_return(robot, mu, omega, horizon) for mu, omega in commands]

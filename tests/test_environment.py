@@ -3,21 +3,34 @@ import random
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import backend_state, drawn_robots, substep_loop_step
 from quadcpg import environment
-from quadcpg.environment import (ACTION_SIZE, CONTACT_TOL, CONTROL_DT, N_SUBSTEPS,
-                                 OBSERVATION_SIZE, QuadrupedEnv, build_observation,
-                                 compute_reward)
-from quadcpg.foot_trajectory import FootTarget, foot_target
+from quadcpg.environment import (ACTION_SIZE, N_SUBSTEPS, OBSERVATION_SIZE, QuadrupedEnv,
+                                 build_observation, compute_reward)
+from quadcpg.foot_trajectory import FootTarget
 from quadcpg.kinematics import fk_all_feet, ik_leg_clamped
-from quadcpg.oscillator import (DT_INTEGRATION, TROT_PHASES, InvalidCommandError,
-                                clamp_command, step_oscillator)
+from quadcpg.oscillator import TROT_PHASES, InvalidCommandError
 from quadcpg.registry import builtin_registry
 
 REG = builtin_registry()
 A1 = REG.get("A1")
 
 TROT_ACTION = (1.0,) * 4 + (2.5,) * 4
+
+
+@st.composite
+def trot_actions(draw):
+    """Equal per-limb commands inside and outside the box; now and then one
+    limb's mu or omega apart, or a zero of either sign."""
+    mu, omega = draw(st.floats(-1.0, 6.0)), draw(st.floats(-1.0, 7.0))
+    action = [mu] * 4 + [omega] * 4
+    if draw(st.booleans()):
+        action[draw(st.integers(0, 7))] = draw(
+            st.sampled_from([0.0, -0.0]) | st.floats(-1.0, 7.0))
+    return tuple(action)
 
 
 def make_env(robot=A1):
@@ -152,100 +165,6 @@ class TestStep:
                 assert obs.foot_contacts[i]
 
 
-#: The base-height servo the backend had: each substep closes this share of
-#: the base's error to the nominal height (a 0.05 s time constant).
-SERVO_FACTOR = min(1.0, DT_INTEGRATION / 0.05)
-
-#: The fall rule the env had: |roll| or |pitch| above FALL_ANGLE_LIMIT (rad),
-#: or a base height below MIN_HEIGHT_FRAC of the nominal height.
-FALL_ANGLE_LIMIT = 1.0
-MIN_HEIGHT_FRAC = 0.3
-
-
-def substep_advance(backend, q_des):
-    """KinematicBackend.advance as it was before it took a whole control
-    step: one substep per call, every leg's FK through fk_all_feet, the
-    torques stored at every substep and the base height servoed to nominal.
-    Returns the number of stance feet."""
-    robot = backend.robot
-    kp, kd = robot.kp, robot.kd
-    a, dt = backend.lag_factor, DT_INTEGRATION
-    q_all = backend.joint_positions
-    for q, qd, trq, des in zip(q_all, backend.joint_velocities,
-                               backend.joint_torques, q_des):
-        for j in range(len(q)):
-            e = des[j] - q[j]
-            trq[j] = kp * e - kd * qd[j]
-            dq = e * a
-            q[j] += dq
-            qd[j] = dq / dt
-    feet_prev = backend._feet
-    feet = fk_all_feet(robot, q_all)
-    backend._feet = feet
-    contacts = tuple(backend.base_pos[2] + f[2] <= CONTACT_TOL for f in feet)
-    backend.foot_contacts = contacts
-    n_stance = 0
-    sx = sy = 0.0
-    for i in range(4):
-        if contacts[i]:
-            n_stance += 1
-            sx += feet[i][0] - feet_prev[i][0]
-            sy += feet[i][1] - feet_prev[i][1]
-    if n_stance > 0:
-        vx = -sx / (n_stance * dt)
-        vy = -sy / (n_stance * dt)
-    else:
-        vx, vy = backend.base_lin_vel[0], backend.base_lin_vel[1]
-    bx, by, bz = backend.base_pos
-    dz = (robot.height_nominal - bz) * SERVO_FACTOR
-    backend.base_pos = (bx + vx * dt, by + vy * dt, bz + dz)
-    backend.base_lin_vel = (vx, vy, dz / dt)
-    return n_stance
-
-
-def substep_loop_step(env, action):
-    """QuadrupedEnv.step as the per-substep loop it replaced: each substep
-    steps the four oscillators, forms their foot targets, solves their IK
-    and advances the backend by `substep_advance`, then applies the fall
-    rule.  Returns step's four outputs and the number of substeps with no
-    stance foot."""
-    cmd = clamp_command(action)
-    backend, cpg, legs = env.backend, env._cpg, env.robot.legs
-    x0 = backend.base_pos[0]
-    violations = flights = 0
-    targets = [None] * 4
-    for _ in range(N_SUBSTEPS):
-        q_des = []
-        for i in range(4):
-            cpg[i] = step_oscillator(cpg[i], cmd.mu[i], cmd.omega[i])
-            targets[i] = foot_target(cpg[i], env.robot.pf, legs[i].abd_offset)
-            q, clamped = ik_leg_clamped(legs[i], targets[i])
-            violations += clamped
-            q_des.append(q)
-        flights += substep_advance(backend, q_des) == 0
-    qdot = [v for leg in backend.joint_velocities for v in leg]
-    tau = [t for leg in backend.joint_torques for t in leg]
-    terms = compute_reward(backend.base_pos[0] - x0, env.d_max, backend.base_rpy, tau,
-                           qdot, env._prev_qdot)
-    env._prev_qdot = qdot
-    env._prev_action = cmd.mu + cmd.omega
-    env.time += CONTROL_DT
-    roll, pitch, _ = backend.base_rpy
-    done = (abs(roll) > FALL_ANGLE_LIMIT or abs(pitch) > FALL_ANGLE_LIMIT
-            or backend.base_pos[2] < MIN_HEIGHT_FRAC * env.robot.height_nominal)
-    obs = build_observation(env.robot, backend, cpg, env._prev_action)
-    info = {"terms": terms, "workspace_violations": violations,
-            "foot_targets": tuple(targets), "command": cmd}
-    return (obs, terms.total, done, info), flights
-
-
-def backend_state(backend):
-    """Every field of the backend's state, as repr (which tells -0.0 from 0.0)."""
-    return repr((backend.joint_positions, backend.joint_velocities,
-                 backend.joint_torques, backend.base_pos, backend.base_lin_vel,
-                 backend.foot_contacts))
-
-
 class TestStepEqualsSubstepLoop:
     """The leg-major step == the per-substep loop, output for output."""
 
@@ -293,9 +212,9 @@ class TestStepEqualsSubstepLoop:
         rows = []
         advance = environment.KinematicBackend.advance
 
-        def counted(backend, q_des):
+        def counted(backend, q_des, *twin):
             rows.append(len(q_des))
-            advance(backend, q_des)
+            advance(backend, q_des, *twin)
 
         monkeypatch.setattr(environment.KinematicBackend, "advance", counted)
         env = make_env()
@@ -303,6 +222,75 @@ class TestStepEqualsSubstepLoop:
         for _ in range(3):
             env.step(TROT_ACTION)
         assert rows == [N_SUBSTEPS] * 3
+
+
+def run_both(robot, phases, actions):
+    """Step `robot` through `actions` from `phases` with env.step and with
+    the oracle, which shares nothing between legs; each step's outputs, CPG
+    and backend state must have the same repr (which tells -0.0 from 0.0)."""
+    env, ref = QuadrupedEnv(robot), QuadrupedEnv(robot)
+    assert repr(env.reset(initial_phases=phases)) == repr(ref.reset(initial_phases=phases))
+    for k, action in enumerate(actions):
+        got = env.step(action)
+        want, _ = substep_loop_step(ref, action)
+        assert repr(got) == repr(want), k
+        assert repr(env.cpg_states) == repr(ref.cpg_states), k
+        assert backend_state(env.backend) == backend_state(ref.backend), k
+
+
+#: The twin path's episodes: equal commands, a pair commanded apart for one
+#: step (RL, FR's twin), an omega of -0.0 on one leg of a pair (clamping
+#: keeps it: max(-0.0, 0.0) is -0.0) and a pronk, one class of four legs
+#: where the knees bend alike.
+TWIN_EPISODES = {
+    "clamping trot": (TROT_PHASES, [(4.0,) * 4 + (5.0,) * 4] * 30),
+    "one step apart": (TROT_PHASES, [TROT_ACTION] * 5 + [(1.0, 1.0, 1.0, 1.5) + (2.5,) * 4]
+                       + [TROT_ACTION] * 10 + [(1.0,) * 4 + (2.5, 3.0, 2.5, 2.5)]
+                       + [TROT_ACTION] * 5),
+    "omega -0.0": (TROT_PHASES, [(1.0,) * 4 + (0.0, 0.0, 0.0, -0.0)] * 10
+                   + [(1.0,) * 4 + (-0.0, 0.0, 0.0, 0.0)] * 10 + [TROT_ACTION] * 10),
+    "pronk": ((1.0,) * 4, [(2.0,) * 4 + (3.0,) * 4] * 20),
+}
+
+
+class TestTwinLegs:
+    """Twin legs share their chain in env.step: the oracle's outputs, bit for bit."""
+
+    @pytest.mark.parametrize("episode", TWIN_EPISODES)
+    @pytest.mark.parametrize("name", REG.names())
+    def test_equals_substep_loop(self, name, episode):
+        run_both(REG.get(name), *TWIN_EPISODES[episode])
+
+    @pytest.mark.parametrize("name, solved", [("A1", 20), ("Dog3", 20), ("Little Dog", 40)])
+    def test_pitch_joints_solved_per_step(self, monkeypatch, name, solved):
+        calls = []   # per _solve call, whether it solved the pitch joints too
+        solve = environment._solve
+
+        def counted(geom, x, y, z, pitch=None):
+            calls.append(pitch is None)
+            return solve(geom, x, y, z, pitch)
+
+        monkeypatch.setattr(environment, "_solve", counted)
+        env = QuadrupedEnv(REG.get(name))
+        env.reset()
+        per_step = []
+        for action in [TROT_ACTION] * 2 + [(1.0, 1.0, 1.0, 1.5) + (2.5,) * 4, TROT_ACTION]:
+            calls.clear()
+            env.step(action)
+            per_step.append((sum(calls), len(calls)))
+        # a trot solves one leg of each twin pair, the twin only its abduction;
+        # RL, commanded apart from FR for one step, solves on its own until
+        # the next reset
+        apart = min(solved + N_SUBSTEPS, 4 * N_SUBSTEPS)
+        assert per_step == [(solved, 4 * N_SUBSTEPS)] * 2 + [(apart, 4 * N_SUBSTEPS)] * 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(robot=drawn_robots(),
+           phases=st.sampled_from([TROT_PHASES, (1.0,) * 4])
+           | st.tuples(*[st.sampled_from([0.0, -0.0, math.pi, 2.0 * math.pi])] * 4),
+           actions=st.lists(trot_actions(), min_size=1, max_size=12))
+    def test_drawn_robots_equal_substep_loop(self, robot, phases, actions):
+        run_both(robot, phases, actions)
 
 
 class TestDeterminism:

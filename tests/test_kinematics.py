@@ -7,11 +7,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quadcpg.batch import _Legs
+from quadcpg.batch import _Legs, _wrap
 from quadcpg.foot_trajectory import FootTarget
 from quadcpg.kinematics import (_CLAMP_TOL, ELBOW_DOWN, ELBOW_UP, FOOT_COUPLING_RATIO,
-                                LegGeometry, OutOfWorkspaceError, _solve, fk_all_feet,
-                                fk_leg, ik_leg, ik_leg_clamped)
+                                TINY_ANGLE, LegGeometry, OutOfWorkspaceError, _solve,
+                                fk_all_feet, fk_leg, ik_leg, ik_leg_clamped)
 from quadcpg.registry import builtin_registry
 
 GEOM3_UP = LegGeometry(hip_offset=(0.0, 0.0, 0.0), abd_offset=0.05,
@@ -309,6 +309,43 @@ class TestRoundTripProperties:
         feet = fk_all_feet(robot, q_all)
         for leg, q, foot in zip(robot.legs, q_all, feet):
             assert tuple(f + h for f, h in zip(fk_leg(leg, q), leg.hip_offset)) == foot
+
+
+def tiny_angles():
+    """Angles below TINY_ANGLE: 2,001 in each of the 33 octaves under it, the
+    largest float below it, the smallest normal and subnormal and zero, each
+    with both signs."""
+    values = [0.0, 5e-324, 2.0 ** -1022, math.nextafter(TINY_ANGLE, 0.0)]
+    for k in range(1, 34):
+        values += np.linspace(TINY_ANGLE / 2.0 ** k, TINY_ANGLE / 2.0 ** (k - 1), 2001,
+                              endpoint=False).tolist()
+    values = np.array(values)
+    assert values.max() < TINY_ANGLE
+    return np.concatenate((values, -values))
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+class TestTinyAngleIsItsOwnWrap:
+    """Below TINY_ANGLE both solvers skip the abduction's wrap, and the FK its
+    rotation's cos and sin: there atan2(sin a, cos a) is a, sin a is a and
+    cos a is 1.0, bit for bit, the sign of zero included."""
+
+    def test_scalar_wrap(self):
+        angles = tiny_angles()
+        wrapped = [math.atan2(math.sin(a), math.cos(a)) for a in angles.tolist()]
+        assert np.array_equal(bits(wrapped), bits(angles))
+
+    def test_kernel_wrap(self):
+        angles = tiny_angles()
+        assert np.array_equal(bits(_wrap(angles)), bits(angles))
+
+    def test_sin_and_cos(self):
+        angles = tiny_angles().tolist()
+        assert np.array_equal(bits([math.sin(a) for a in angles]), bits(angles))
+        assert {math.cos(a) for a in angles} == {1.0}
 
 
 def old_abduction(d, y, z):

@@ -173,9 +173,13 @@ def test_each_fact_has_one_owner():
     # the IK's per-leg constants: computed once per LegGeometry, read elsewhere
     for expr in IK_CONSTANTS:
         assert computations_in_src(expr) == [("kinematics.py", "__post_init__")], expr
-    # the IK's abduction: one scalar solver for both leg types, and the kernel's
+    # the IK's abduction: one scalar solver for both leg types and twin legs,
+    # and the kernel's
     assert computations_in_src("y * y + z * z") == [("batch.py", "ik"),
                                                      ("kinematics.py", "_solve")]
+    # the twin key, which the env and the kernel both ask
+    assert readers_in_src("knee_config") == [("environment.py", "twin_legs"),
+                                             ("kinematics.py", "__post_init__")]
     # a foot's lateral offset is its leg's abd_offset; y_nominal is only the
     # registry file's name for it, and no per-leg copy of a record is made
     assert [p.name for p in MODULES if "y_nominal" in p.read_text()] == ["registry.py"]
