@@ -9,9 +9,9 @@ sum `batch.py` and the rollout manifest must match bit for bit, go through
 `sum_in_order`, never the builtin `sum()`.
 
 `step` does this work leg-major: each leg runs its oscillator, pattern
-formation and IK through all ten substeps, filling a substeps x legs
-table of desired joint positions, and then the backend advances the
-whole step in one call.  It too goes leg by leg first (joint lag and FK
+formation and IK through all ten substeps, filling its row of a legs x
+substeps table of desired joint positions, and then the backend advances
+the whole step in one call.  It too goes leg by leg first (joint lag and FK
 through every substep), then runs contacts and the base substep by
 substep.  The result is the substep-major loop's, bit for bit: the
 command is held for the whole step, the CPG runs feed-forward (no backend
@@ -30,10 +30,9 @@ x, z targets, and y = +-abd_offset with (-d)*(-d) == d*d the same rr,
 abduction clamp flag and pitch joints.  So the twin takes its source's
 oscillator, pattern formation and pitch joints and solves its own
 abduction; its oscillator state keeps its own theta_dot (an omega of -0.0
-is == to 0.0 but shows in the observation).  The backend runs the pitch
-joints' lag and torques and the FK's planar sums once per pair.  Only
-`reset` writes the env's or the backend's state between steps.  With no
-pair in lockstep, none of this runs.
+is == to 0.0 but shows in the observation).  Only `reset` writes the CPG
+state between steps.  The backend knows no twins: it runs every leg's joint
+lag and FK on its own, so a write to its joint state between steps holds.
 
 The observation is a fixed 49-vector for every robot, regardless of DoF
 count and morphology:
@@ -59,8 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
 from .foot_trajectory import FootTarget, foot_target, foot_xz
 from .kinematics import _foot_in_hip, _solve, fk_all_feet
@@ -88,9 +86,6 @@ V_CAP = 1.5
 LAG_TAU_MAX = 0.005
 CONTACT_TOL = 1e-9
 
-
-#: The twin map of four legs that are each their own source: no twins.
-_ALONE = [0, 1, 2, 3]
 
 #: An oscillator at zero amplitude and phase: its foot target is the
 #: pattern-formation set-point, the standing pose of `reset`.
@@ -218,37 +213,25 @@ class KinematicBackend:
         self.foot_contacts = tuple(robot.height_nominal + f[2] <= CONTACT_TOL
                                    for f in self._feet)
 
-    def advance(self, q_des, twin: Optional[Sequence[int]] = None) -> None:
-        """One control step: q_des holds each substep's desired joint positions,
-        a row of four legs per substep, run in order.
+    def advance(self, q_des) -> None:
+        """One control step: q_des holds each leg's desired joint positions,
+        a row of N_SUBSTEPS substeps per leg, run in order.
 
         Each leg runs its joint lag and its FK through every substep first;
         the torques are those of the last substep, the ones the reward
         reads.  Then contacts, stance sums and the base go substep by
-        substep, over the legs in order.  `twin`, if given, maps each leg to
-        itself or to an earlier leg s whose desired pitch joints and joint
-        state it shares, a twin in lockstep (module docstring): the leg then
-        takes leg s's pitch joints, velocities, torques and planar FK sums,
-        and runs only its abduction joint and the FK's rotation.
+        substep, over the legs in order.
         """
         robot = self.robot
         kp, kd = robot.kp, robot.kd
         a, dt = self.lag_factor, DT_INTEGRATION
 
-        sums = [None] * 4   # per leg a twin reads, its planar FK sums at each substep
         paths = []   # per leg, its body-frame foot after each substep
-        for i, (geom, q, qd, trq) in enumerate(zip(
+        for geom, q, qd, trq, leg_des in zip(
                 robot.legs, self.joint_positions, self.joint_velocities,
-                self.joint_torques)):
-            s = i if twin is None else twin[i]
-            joints = zip(*(row[i] for row in q_des))
-            if s != i:   # the abduction joint; the pitch joints are leg s's
-                joints = islice(joints, 1)
-                q[1:] = self.joint_positions[s][1:]
-                qd[1:] = self.joint_velocities[s][1:]
-                trq[1:] = self.joint_torques[s][1:]
+                self.joint_torques, q_des):
             cols = []   # per joint, its position after each substep
-            for j, des_j in enumerate(joints):
+            for j, des_j in enumerate(zip(*leg_des)):
                 qj, dq = q[j], None
                 col = []
                 for des in des_j[:-1]:
@@ -265,19 +248,9 @@ class KinematicBackend:
             links, d = geom.link_lengths, geom.abd_offset
             hx, hy, hz = geom.hip_offset
             path = []
-            if s != i:   # leg s's planar sums, rotated by this leg's abduction
-                for q_abd, planar in zip(cols[0], sums[s]):
-                    fx, fy, fz = _foot_in_hip(links, d, (q_abd,), planar)
-                    path.append((fx + hx, fy + hy, fz + hz))
-            elif twin is not None and i in twin[i + 1:]:   # a twin reads its sums
-                sums[i] = keep = []
-                for qk in zip(*cols):
-                    fx, fy, fz = _foot_in_hip(links, d, qk, None, keep)
-                    path.append((fx + hx, fy + hy, fz + hz))
-            else:
-                for qk in zip(*cols):
-                    fx, fy, fz = _foot_in_hip(links, d, qk)
-                    path.append((fx + hx, fy + hy, fz + hz))
+            for qk in zip(*cols):
+                fx, fy, fz = _foot_in_hip(links, d, qk)
+                path.append((fx + hx, fy + hy, fz + hz))
             paths.append(path)
 
         bx, by, bz = self.base_pos
@@ -348,8 +321,7 @@ class QuadrupedEnv:
         robot = self.robot
         self._cpg = init_cpg(initial_phases)
         # the twin pairs, in lockstep until their commands part them
-        twin = twin_legs(robot.legs, [s.theta for s in self._cpg])
-        self._twin = None if twin == _ALONE else twin
+        self._twin = twin_legs(robot.legs, [s.theta for s in self._cpg])
         standing = (_solve(leg, *foot_target(_AT_REST, robot.pf, leg.abd_offset))
                     for leg in robot.legs)
         self.backend.reset([q for q, _ in standing])
@@ -373,52 +345,48 @@ class QuadrupedEnv:
         backend = self.backend
         cpg = self._cpg
         pf = self.robot.pf
-        q_des = [[None] * 4 for _ in range(N_SUBSTEPS)]
+        q_des = [None] * 4   # per leg, its desired joints at each substep
         targets = [None] * 4
         zs = [None] * 4   # per leg a twin reads, its target's z at each substep
         clamps = [0] * 4   # per leg, its IK clamp flags
         workspace_violations = 0
         for i, leg in enumerate(self.robot.legs):
             y = leg.abd_offset
-            leg_zs = None
-            if twin is not None:
-                s = twin[i]
-                if s != i:
-                    if mu[i] == mu[s] and omega[i] == omega[s]:
-                        # leg s's oscillator, (x, z) and pitch joints; its own abduction
-                        for row, z in zip(q_des, zs[s]):
-                            row[i] = _solve(leg, None, y, z, row[s])[0]
-                        r, r_dot, theta, _ = cpg[s]
-                        # its own theta_dot: an omega of -0.0 passes == against 0.0
-                        cpg[i] = OscillatorState(r, r_dot, theta, TWO_PI * omega[i])
-                        x, _, z = targets[s]
-                        targets[i] = FootTarget(x, y, z)
-                        workspace_violations += clamps[s]   # equal rr, equal flags
-                        continue
-                    twin[i] = i   # out of lockstep until the next reset
-                if i in twin[i + 1:]:
-                    leg_zs = zs[i] = []
+            s = twin[i]
+            if s != i:
+                if mu[i] == mu[s] and omega[i] == omega[s]:
+                    # leg s's oscillator, (x, z) and pitch joints; its own abduction
+                    q_des[i] = [_solve(leg, None, y, z, q)[0]
+                                for q, z in zip(q_des[s], zs[s])]
+                    r, r_dot, theta, _ = cpg[s]
+                    # its own theta_dot: an omega of -0.0 passes == against 0.0
+                    cpg[i] = OscillatorState(r, r_dot, theta, TWO_PI * omega[i])
+                    x, _, z = targets[s]
+                    targets[i] = FootTarget(x, y, z)
+                    workspace_violations += clamps[s]   # equal rr, equal flags
+                    continue
+                twin[i] = i   # out of lockstep until the next reset
+            leg_zs = zs[i] = [] if i in twin[i + 1:] else None
             mu_i, theta_dot = mu[i], TWO_PI * omega[i]
             r, r_dot, theta, _ = cpg[i]
             n = 0
-            for row in q_des:
+            row = q_des[i] = []
+            for _ in range(N_SUBSTEPS):
                 r, r_dot, theta = advance(r, r_dot, mu_i, theta_dot, theta)
                 x, z = foot_xz(r, theta, pf)
                 q, clamped = _solve(leg, x, y, z)
                 if clamped:
                     n += 1
-                row[i] = q
+                row.append(q)
                 if leg_zs is not None:
                     leg_zs.append(z)
             clamps[i] = n
             workspace_violations += n
             cpg[i] = OscillatorState(r, r_dot, theta, theta_dot)
             targets[i] = FootTarget(x, y, z)
-        if twin == _ALONE:   # every pair out of lockstep
-            self._twin = twin = None
 
         x0 = backend.base_pos[0]
-        backend.advance(q_des, twin)
+        backend.advance(q_des)
 
         f_x = backend.base_pos[0] - x0
         qdot = [v for leg in backend.joint_velocities for v in leg]

@@ -34,12 +34,11 @@ an unreachable target to the workspace boundary and flags it.  Only
 ``ik_leg`` raises, OutOfWorkspaceError carrying the clamped joint vector;
 the environment calls ``_solve`` and counts the flags in
 ``info["workspace_violations"]``.  A twin leg (``environment.twin_legs``)
-stops ``_solve`` after its abduction and takes its source's pitch joints;
-``_foot_in_hip``, the one FK body, likewise hands a leg's planar sums to its
-twin.  Both skip the cos, sin and atan2 of an abduction angle below
-``TINY_ANGLE``, where their results are known bit for bit; pattern
-formation sets y = abd_offset, so a foot target's abduction is 0 up to
-rounding.
+stops ``_solve`` after its abduction and takes its source's pitch joints.
+``_solve`` and ``_foot_in_hip``, the one FK body, skip the cos, sin and
+atan2 of an abduction angle below ``TINY_ANGLE``, where their results are
+known bit for bit; pattern formation sets y = abd_offset, so a foot
+target's abduction is 0 up to rounding.
 """
 
 from __future__ import annotations
@@ -144,31 +143,23 @@ class LegGeometry:
         return reach
 
 
-def _foot_in_hip(links: Sequence[float], d: float, q: Sequence[float],
-                 planar=None, sums=None):
+def _foot_in_hip(links: Sequence[float], d: float, q: Sequence[float]):
     """(x, y, z) of the foot in the hip frame: the sums (sx, cz) of the planar
     chain of 2 or 3 links over q's pitch joints, then the rotation by its
-    abduction q[0]; the one body of both FK functions and the backend's.
-    A leg with a twin appends its sums to `sums`, and the twin passes them
-    back as `planar` with a pose q of its abduction alone."""
-    if planar is None:
-        if len(links) == 2:
-            l1, l2 = links
-            q_abd, a1, q_knee = q
-            a2 = a1 + q_knee
-            sx = l1 * math.sin(a1) + l2 * math.sin(a2)
-            cz = l1 * math.cos(a1) + l2 * math.cos(a2)
-        else:
-            l1, l2, l3 = links
-            q_abd, a1, q_knee, q_foot = q
-            a2 = a1 + q_knee
-            a3 = a2 + q_foot
-            sx = l1 * math.sin(a1) + l2 * math.sin(a2) + l3 * math.sin(a3)
-            cz = l1 * math.cos(a1) + l2 * math.cos(a2) + l3 * math.cos(a3)
-        if sums is not None:
-            sums.append((sx, cz))
+    abduction q[0]; the one body of both FK functions and the backend's."""
+    if len(links) == 2:
+        l1, l2 = links
+        q_abd, a1, q_knee = q
+        a2 = a1 + q_knee
+        sx = l1 * math.sin(a1) + l2 * math.sin(a2)
+        cz = l1 * math.cos(a1) + l2 * math.cos(a2)
     else:
-        (q_abd,), (sx, cz) = q, planar
+        l1, l2, l3 = links
+        q_abd, a1, q_knee, q_foot = q
+        a2 = a1 + q_knee
+        a3 = a2 + q_foot
+        sx = l1 * math.sin(a1) + l2 * math.sin(a2) + l3 * math.sin(a3)
+        cz = l1 * math.cos(a1) + l2 * math.cos(a2) + l3 * math.cos(a3)
     zp = -cz
     if abs(q_abd) < TINY_ANGLE:   # cos rounds to 1.0, sin to the angle
         c0, s0 = 1.0, q_abd
@@ -288,17 +279,12 @@ def _solve(geom: LegGeometry, x: float, y: float, z: float, pitch=None):
 
 def ik_leg(geom: LegGeometry, target: FootTarget) -> Tuple[float, ...]:
     """Morphology-appropriate analytical IK; unreachable targets raise."""
-    q, clamped = ik_leg_clamped(geom, target)
+    q, clamped = _solve(geom, *target)
     if clamped:
         raise OutOfWorkspaceError(
             f"target {tuple(target)} outside workspace of "
             f"{len(geom.link_lengths)}-link leg (reach {geom.max_reach:.4f} m)", q)
     return q
-
-
-def ik_leg_clamped(geom: LegGeometry, target: FootTarget):
-    """Like ik_leg but never raises: returns (q, out_of_workspace)."""
-    return _solve(geom, *target)
 
 
 def fk_all_feet(robot: "RobotDescriptor", q_all: Sequence[Sequence[float]]):

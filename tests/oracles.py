@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from quadcpg.environment import (CONTACT_TOL, CONTROL_DT, N_SUBSTEPS, QuadrupedEnv,
                                  build_observation, compute_reward)
 from quadcpg.foot_trajectory import foot_target
-from quadcpg.kinematics import ELBOW_DOWN, ELBOW_UP, LegGeometry, fk_all_feet, ik_leg_clamped
+from quadcpg.kinematics import ELBOW_DOWN, ELBOW_UP, LegGeometry, _solve, fk_all_feet
 from quadcpg.oscillator import DT_INTEGRATION, TROT_PHASES, clamp_command, step_oscillator
 from quadcpg.registry import RegistryError, builtin_registry
 
@@ -92,7 +92,7 @@ def substep_loop_step(env, action):
         for i in range(4):
             cpg[i] = step_oscillator(cpg[i], cmd.mu[i], cmd.omega[i])
             targets[i] = foot_target(cpg[i], env.robot.pf, legs[i].abd_offset)
-            q, clamped = ik_leg_clamped(legs[i], targets[i])
+            q, clamped = _solve(legs[i], *targets[i])
             violations += clamped
             q_des.append(q)
         flights += substep_advance(backend, q_des) == 0

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import backend_state, drawn_robots, substep_loop_step
+from oracles import backend_state, drawn_robots, substep_advance, substep_loop_step
 from quadcpg import environment
 from quadcpg.environment import (ACTION_SIZE, N_SUBSTEPS, OBSERVATION_SIZE, QuadrupedEnv,
                                  build_observation, compute_reward)
 from quadcpg.foot_trajectory import FootTarget
-from quadcpg.kinematics import fk_all_feet, ik_leg_clamped
+from quadcpg.kinematics import _solve, fk_all_feet
 from quadcpg.oscillator import TROT_PHASES, InvalidCommandError
 from quadcpg.registry import builtin_registry
 
@@ -206,22 +206,23 @@ class TestStepEqualsSubstepLoop:
             pf = robot.pf
             for leg, q in zip(robot.legs, env.backend.joint_positions):
                 standing = FootTarget(pf.x_off, leg.abd_offset, pf.z_off - pf.h)
-                assert list(ik_leg_clamped(leg, standing)[0]) == q
+                assert list(_solve(leg, *standing)[0]) == q
 
     def test_backend_advances_once_per_step(self, monkeypatch):
-        rows = []
+        tables = []
         advance = environment.KinematicBackend.advance
 
-        def counted(backend, q_des, *twin):
-            rows.append(len(q_des))
-            advance(backend, q_des, *twin)
+        def counted(backend, q_des):
+            tables.append([len(row) for row in q_des])
+            advance(backend, q_des)
 
         monkeypatch.setattr(environment.KinematicBackend, "advance", counted)
         env = make_env()
         env.reset(seed=0)
         for _ in range(3):
             env.step(TROT_ACTION)
-        assert rows == [N_SUBSTEPS] * 3
+        # leg-major: a row of N_SUBSTEPS desired joint vectors per leg
+        assert tables == [[N_SUBSTEPS] * 4] * 3
 
 
 def run_both(robot, phases, actions):
@@ -283,6 +284,25 @@ class TestTwinLegs:
         # the next reset
         apart = min(solved + N_SUBSTEPS, 4 * N_SUBSTEPS)
         assert per_step == [(solved, 4 * N_SUBSTEPS)] * 2 + [(apart, 4 * N_SUBSTEPS)] * 2
+
+    @pytest.mark.parametrize("name", ["A1", "Dog3"])
+    def test_joint_writes_between_steps_hold(self, name):
+        # the backend knows no twins: a write to a twin's pitch joint and
+        # its velocity moves that leg alone, as in the oracle
+        robot = REG.get(name)
+        assert environment.twin_legs(robot.legs, TROT_PHASES)[3] == 0   # RL is FR's twin
+        env, ref = QuadrupedEnv(robot), QuadrupedEnv(robot)
+        env.reset()
+        ref.reset()
+        for k in range(10):
+            if k in (5, 7):
+                for backend in (env.backend, ref.backend):
+                    backend.joint_positions[3][1] += 0.1
+                    backend.joint_velocities[3][1] += 1.0
+            got = env.step(TROT_ACTION)
+            want, _ = substep_loop_step(ref, TROT_ACTION)
+            assert repr(got) == repr(want), k
+            assert backend_state(env.backend) == backend_state(ref.backend), k
 
     @settings(max_examples=40, deadline=None)
     @given(robot=drawn_robots(),
@@ -352,11 +372,37 @@ class TestKinematicBackend:
         env = QuadrupedEnv(A1)
         env.reset(seed=0)
         backend = env.backend
-        hold = [[list(q) for q in backend.joint_positions]] * N_SUBSTEPS
+        hold = [[list(q)] * N_SUBSTEPS for q in backend.joint_positions]
         for _ in range(10):
             backend.advance(hold)
         assert backend.base_lin_vel[0] == pytest.approx(0.0, abs=1e-12)
         assert backend.base_pos[0] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("name", REG.names())
+    def test_advance_equals_substep_advance(self, name):
+        # random leg-major tables around the standing pose, one step of them
+        # around a pose with every foot lifted: substeps with no stance foot
+        robot = REG.get(name)
+        rng = random.Random(name)
+        pf = robot.pf
+        lift = 0.3 * robot.height_nominal
+        lifted = [list(_solve(leg, pf.x_off, leg.abd_offset, pf.z_off - pf.h + lift)[0])
+                  for leg in robot.legs]
+        env = QuadrupedEnv(robot)
+        env.reset()
+        backend, ref = env.backend, environment.KinematicBackend(robot)
+        standing = [list(q) for q in backend.joint_positions]
+        ref.reset(standing)
+        stance_counts = []
+        for k in range(8):
+            pose = lifted if k == 3 else standing
+            table = [[[q + rng.uniform(-0.2, 0.2) for q in leg] for _ in range(N_SUBSTEPS)]
+                     for leg in pose]
+            backend.advance(table)
+            for substep in zip(*table):
+                stance_counts.append(substep_advance(ref, substep))
+            assert backend_state(backend) == backend_state(ref), k
+        assert 0 in stance_counts and max(stance_counts) > 0
 
     def test_base_keeps_a_height_set_after_reset(self):
         for robot in (A1, REG.get("Dog3")):

@@ -55,7 +55,7 @@ print(json.dumps(stages))
 
 
 def test_scalar_path_loads_neither_numpy_nor_yaml(tmp_path):
-    proc = subprocess.run([sys.executable, "-I", "-c", CHILD, SRC, str(tmp_path)],
+    proc = subprocess.run([sys.executable, "-I", "-B", "-c", CHILD, SRC, str(tmp_path)],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     stages = json.loads(proc.stdout.splitlines()[-1])

@@ -63,7 +63,7 @@ def test_scalar_outputs_equal_under_every_interpreter(tmp_path):
     assert mine["rollouts"]["Little Dog"]["workspace_violations"] > 0   # clamps
     covered = []
     for path, version in sorted(others.items(), key=lambda item: item[1]):
-        proc = subprocess.run([path, "-I", PROBE, SRC, str(tmp_path)],
+        proc = subprocess.run([path, "-I", "-B", PROBE, SRC, str(tmp_path)],
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, (version, path, proc.stderr)
         assert json.loads(proc.stdout.splitlines()[-1]) == mine, (version, path)

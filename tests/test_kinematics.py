@@ -11,7 +11,7 @@ from quadcpg.batch import _Legs, _wrap
 from quadcpg.foot_trajectory import FootTarget
 from quadcpg.kinematics import (_CLAMP_TOL, ELBOW_DOWN, ELBOW_UP, FOOT_COUPLING_RATIO,
                                 TINY_ANGLE, LegGeometry, OutOfWorkspaceError, _solve,
-                                fk_all_feet, fk_leg, ik_leg, ik_leg_clamped)
+                                fk_all_feet, fk_leg, ik_leg)
 from quadcpg.registry import builtin_registry
 
 GEOM3_UP = LegGeometry(hip_offset=(0.0, 0.0, 0.0), abd_offset=0.05,
@@ -296,7 +296,7 @@ class TestRoundTripProperties:
     def test_fk_ik_roundtrip_over_random_geometries(self, leg_q):
         geom, q_star = leg_q
         target = fk_leg(geom, q_star)
-        q, clamped = ik_leg_clamped(geom, target)
+        q, clamped = _solve(geom, *target)
         assert not clamped
         assert fk_leg(geom, q) == pytest.approx(tuple(target), abs=1e-9)
 
