@@ -15,21 +15,24 @@ lag -- go substep by substep; every other stage runs once per tile of
 Every episode runs its whole horizon: the kinematic world cannot fall.
 The scalar `QuadrupedEnv` stays the closed-loop path and the oracle.
 
+Pattern formation's targets: `foot_targets` gives each leg's x and z, as
+`foot_xz` does; y is the leg's abd_offset d, so rr = dd + z*z >= dd = d*d
+and the scalar solver's abduction clamp, which never fires, is left out.
+
 Twin legs solve once.  The trot runs its diagonal legs in phase
 (`TROT_PHASES`: FR with RL, FL with RR), so such a pair gets the same x and
-z foot targets, and y = +-abd_offset.  Two legs are twins when they also
-have the same |abd_offset|, link lengths and knee branch: then
-(-d)*(-d) == d*d gives them the same rr, z_leg and abduction clamp flag,
-and the sagittal chain (the reach clamp or knee quadratic, the knee, the
-hip) is the same IEEE operations on the same inputs.  Twins start from the
-same standing joints and are driven to the same desired joints, so the
+z.  Two legs are twins when they also have the same |abd_offset|, link
+lengths and knee branch: then (-d)*(-d) == d*d gives them the same rr and
+z_leg, and the sagittal chain (the reach clamp or knee quadratic, the knee,
+the hip) is the same IEEE operations on the same inputs.  Twins start from
+the same standing joints and are driven to the same desired joints, so the
 joint lag keeps their sagittal joints equal, and the FK's planar sums are
 equal too.  `_Legs` takes the twin classes from `environment.twin_legs`,
 which owns the twin key and serves `QuadrupedEnv` too, once per robot and
 runs those stages on one leg of each class; the abduction, the FK's
 abduction rotation and the hip offsets run on every leg.  A mixed robot,
-whose rear knees bend the other way, has four classes and solves every
-leg.  As in the scalar solver, the abduction's wrap skips angles below
+whose rear knees bend the other way, has four classes and solves every leg.
+As in the scalar solver, the abduction's wrap skips angles below
 `kinematics.TINY_ANGLE`, its own wrap there: a trot's are 0 up to rounding.
 """
 
@@ -51,9 +54,6 @@ from .registry import RobotDescriptor
 #: control steps as fit, at least one of each, so its arrays, not the number
 #: of commands or the horizon, bound the kernel's memory.
 TILE_LANE_SUBSTEPS = 800
-
-#: The IK constants of the abduction, which runs on every leg.
-_ABDUCTION = ("dd", "dd_in")
 
 
 def _math(fn, *arrays: np.ndarray) -> np.ndarray:
@@ -89,21 +89,20 @@ class _Legs:
         self.links = [np.array(col) for col in zip(*(leg.link_lengths for leg in sagittal))]
         self.d = np.array([leg.abd_offset for leg in legs])
         self.hip_x, _, self.hip_z = np.array([leg.hip_offset for leg in legs]).T
-        for name in legs[0].ik_constants:
-            on = legs if name in _ABDUCTION else sagittal
+        for name in legs[0].ik_constants:   # dd, the abduction's, on every leg
+            on = legs if name == "dd" else sagittal
             setattr(self, name, np.array([getattr(leg, name) for leg in on]))
 
-    def ik(self, x, y, z):
-        """kinematics._solve over (N, 4) targets: q as (N, 4, dof).  Twin legs
-        get the same x and z, so the sagittal chain runs on `solved` only.
-        The clamp flags are computed only where read, by the 4-DoF projection."""
-        yyzz = y * y + z * z
-        inside = yyzz < self.dd
-        rr = np.where(inside, self.dd, yyzz)
+    def ik(self, x, z):
+        """kinematics._solve over (N, 4) targets (x, d, z), d each leg's abd_offset:
+        q as (N, 4, dof).  Twin legs get the same x and z, so the sagittal chain
+        runs on `solved` only; only the 4-DoF projection reads the clamp flags."""
+        rr = self.dd + z * z
         z_leg = -np.sqrt(rr - self.dd)
         positive = rr > 0.0
         ratio = np.where(positive, self.d / np.sqrt(np.where(positive, rr, 1.0)), 1.0)
         ratio = np.minimum(1.0, np.maximum(-1.0, ratio))
+        y = np.broadcast_to(self.d, z.shape)
         q_abd = _math(math.atan2, z, y) + _math(math.acos, ratio)
         wrap = ~(np.abs(q_abd) < TINY_ANGLE)   # a tiny angle is its own wrap
         if wrap.any():
@@ -128,11 +127,10 @@ class _Legs:
             return self._joints(q_abd, _wrap(hip), knee)
 
         l1, l2, l3 = self.links
-        clamped = (inside & (yyzz < self.dd_in))[..., self.solved]
         qk = self.qk0 - (x * x + z_leg * z_leg)
         disc = self.qbqb - self.four_qa * qk
         negative = disc < 0.0
-        clamped |= negative & (disc < self.disc_in)
+        clamped = negative & (disc < self.disc_in)
         c = (-self.qb + np.sqrt(np.where(negative, 0.0, disc))) / self.two_qa
         clamped |= (c > 1.0 + _CLAMP_TOL) | (c < -1.0 - _CLAMP_TOL)
         psi = _math(math.acos, np.minimum(1.0, np.maximum(-1.0, c)))
@@ -174,17 +172,16 @@ class _Legs:
         return -sx + self.hip_x, z + self.hip_z
 
 
-def foot_targets(robot: RobotDescriptor, r, theta) -> np.ndarray:
-    """foot_target of every leg over arrays: theta (..., 4) phases, r (...) their
-    shared amplitude; the (..., 4, 3) x, y, z targets in each leg's hip frame."""
+def foot_targets(robot: RobotDescriptor, r, theta):
+    """foot_xz of every leg over arrays: theta (..., 4) phases, r (...) their
+    shared amplitude; the (..., 4) x and z of the targets, y being abd_offset."""
     pf = robot.pf
     r, theta = np.asarray(r)[..., None], np.asarray(theta)
     s = np.sin(theta)
     x = pf.x_off - pf.l_step * r * np.cos(theta)
     z = np.where(s > 0.0, pf.z_off - pf.h + pf.l_clrnc * s,
                  pf.z_off - pf.h + pf.l_pntr * s)
-    y = np.broadcast_to([leg.abd_offset for leg in robot.legs], theta.shape)
-    return np.stack((x, y, z), axis=-1)
+    return x, z
 
 
 def evaluate_batch(robot: RobotDescriptor, commands: Iterable[Tuple[float, float]],
@@ -237,7 +234,7 @@ def _episodes(env: QuadrupedEnv, legs: _Legs, commands, horizon: int) -> List[fl
         for k in range(t):
             r, r_dot, theta = advance(r, r_dot, mu, theta_dot, theta)
             rs[k], thetas[k] = r, theta
-        des = legs.ik(*np.moveaxis(foot_targets(robot, rs, thetas), -1, 0))
+        des = legs.ik(*foot_targets(robot, rs, thetas))
         e, qs = np.empty_like(des), np.empty_like(des)
         for k in range(t):
             e[k] = des[k] - q

@@ -171,8 +171,11 @@ def run_open_loop_trajectory(robot: RobotDescriptor, mu: float, omega: float,
             r, r_dot, fr, fl, rr, rl = advance(r, r_dot, mu, theta_dot, fr, fl, rr, rl)
         amplitudes.append(r)
         phases.append((fr, fl, rr, rl))
-    from .batch import foot_targets   # numpy is imported here, on first use
-    feet = foot_targets(robot, amplitudes, phases).reshape(n_samples, -1).tolist()
+    import numpy as np   # imported here, on first use
+    from .batch import foot_targets
+    x, z = foot_targets(robot, amplitudes, phases)   # y is each leg's abd_offset
+    y = np.broadcast_to([leg.abd_offset for leg in robot.legs], x.shape)
+    feet = np.stack((x, y, z), axis=-1).reshape(n_samples, -1).tolist()
     rows = [[(k + 1) * CONTROL_DT, r, r, r, r, *thetas, *targets]
             for k, (r, thetas, targets) in enumerate(zip(amplitudes, phases, feet))]
     return trajectory_columns(), rows

@@ -25,21 +25,11 @@ from quadcpg.registry import RegistryError, builtin_registry
 REG = builtin_registry()
 
 
-#: The base-height servo the backend had: each substep closes this share of
-#: the base's error to the nominal height (a 0.05 s time constant).
-SERVO_FACTOR = min(1.0, DT_INTEGRATION / 0.05)
-
-#: The fall rule the env had: |roll| or |pitch| above FALL_ANGLE_LIMIT (rad),
-#: or a base height below MIN_HEIGHT_FRAC of the nominal height.
-FALL_ANGLE_LIMIT = 1.0
-MIN_HEIGHT_FRAC = 0.3
-
-
 def substep_advance(backend, q_des):
     """KinematicBackend.advance as it was before it took a whole control
-    step: one substep per call, every leg's FK through fk_all_feet, the
-    torques stored at every substep and the base height servoed to nominal.
-    Returns the number of stance feet."""
+    step: one substep per call, every leg's FK through fk_all_feet and the
+    torques stored at every substep; the base keeps its height.  Returns the
+    number of stance feet."""
     robot = backend.robot
     kp, kd = robot.kp, robot.kd
     a, dt = backend.lag_factor, DT_INTEGRATION
@@ -70,18 +60,17 @@ def substep_advance(backend, q_des):
     else:
         vx, vy = backend.base_lin_vel[0], backend.base_lin_vel[1]
     bx, by, bz = backend.base_pos
-    dz = (robot.height_nominal - bz) * SERVO_FACTOR
-    backend.base_pos = (bx + vx * dt, by + vy * dt, bz + dz)
-    backend.base_lin_vel = (vx, vy, dz / dt)
+    backend.base_pos = (bx + vx * dt, by + vy * dt, bz)
+    backend.base_lin_vel = (vx, vy, 0.0)
     return n_stance
 
 
 def substep_loop_step(env, action):
     """QuadrupedEnv.step as the per-substep loop it replaced: each substep
     steps the four oscillators, forms their foot targets, solves their IK
-    and advances the backend by `substep_advance`, then applies the fall
-    rule.  Returns step's four outputs and the number of substeps with no
-    stance foot."""
+    and advances the backend by `substep_advance`; done is False, as the
+    world cannot fall.  Returns step's four outputs and the number of
+    substeps with no stance foot."""
     cmd = clamp_command(action)
     backend, cpg, legs = env.backend, env._cpg, env.robot.legs
     x0 = backend.base_pos[0]
@@ -103,13 +92,10 @@ def substep_loop_step(env, action):
     env._prev_qdot = qdot
     env._prev_action = cmd.mu + cmd.omega
     env.time += CONTROL_DT
-    roll, pitch, _ = backend.base_rpy
-    done = (abs(roll) > FALL_ANGLE_LIMIT or abs(pitch) > FALL_ANGLE_LIMIT
-            or backend.base_pos[2] < MIN_HEIGHT_FRAC * env.robot.height_nominal)
     obs = build_observation(env.robot, backend, cpg, env._prev_action)
     info = {"terms": terms, "workspace_violations": violations,
             "foot_targets": tuple(targets), "command": cmd}
-    return (obs, terms.total, done, info), flights
+    return (obs, terms.total, False, info), flights
 
 
 def backend_state(backend):

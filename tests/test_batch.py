@@ -25,7 +25,7 @@ from quadcpg.environment import N_SUBSTEPS, QuadrupedEnv
 from quadcpg.kinematics import ELBOW_DOWN
 from quadcpg.oscillator import (LIMBS, MU_MAX, MU_MIN, OMEGA_MAX_HZ, OMEGA_MIN_HZ,
                                 TROT_PHASES, TWO_PI)
-from quadcpg.registry import builtin_registry
+from quadcpg.registry import _descriptor_from_entry, builtin_registry
 
 REG = builtin_registry()
 HORIZON = 60
@@ -210,7 +210,7 @@ def math_calls(robot):
         return real(fn, *arrays)
 
     with mock.patch.object(batch, "_math", counting):
-        batch._Legs(robot).ik(*np.moveaxis(targets, -1, 0))
+        batch._Legs(robot).ik(*targets)
     return calls
 
 
@@ -224,7 +224,7 @@ SAGITTAL_MATH = {3: ["hypot", "acos", "atan2", "atan2", "atan2"],
 def test_sagittal_math_runs_once_per_twin_class(name, solved):
     robot = REG.get(name)
     calls = math_calls(robot)
-    # the abduction's atan2(z, y) and acos(ratio) run on all four legs; its
+    # the abduction's atan2(z, d) and acos(ratio) run on all four legs; its
     # wrap sees no element, as a trot's abduction angle is 0 up to rounding
     assert calls[:2] == [("atan2", 4 * 100), ("acos", 4 * 100)]
     assert calls[2:] == [(fn, solved * 100) for fn in SAGITTAL_MATH[robot.legs[0].dof]]
@@ -247,6 +247,26 @@ def wide(name, d=0.3):
 
 
 A1_LINKS = REG.get("A1").legs[3].link_lengths
+
+
+def registry_robot(dof, **fields):
+    """A1's registry row at `dof` DoF (animal-like legs at 16), `fields` changed."""
+    entry = {"name": "Edge", "height_cm": 30.0, "mass_kg": 12.0, "l_step_cm": 13.0,
+             "l_clrnc_cm": 7.0, "l_pntr_cm": 1.0, "x_offset_cm": 0.0, "dof": dof,
+             "morphology": 1 if dof == 12 else 3, "kp": 100.0, "kd": 2.7}
+    return _descriptor_from_entry({**entry, **fields})
+
+
+@pytest.mark.parametrize("dof", [12, 16])
+@pytest.mark.parametrize("fields", [
+    # swing targets up to +0.15 m: an abduction of about 2 atan(z / d), wrapped
+    {"l_clrnc_cm": 45.0},
+    # d = 0: the abduction's ratio behind its rr > 0 guard
+    {"geometry": {"y_nominal": 0.0}}], ids=["high-swing", "no-abd-offset"])
+def test_wide_abduction_equals_scalar(dof, fields):
+    robot = registry_robot(dof, **fields)
+    assert evaluate_batch(robot, CORNERS, HORIZON) == [
+        substep_return(robot, mu, omega, HORIZON) for mu, omega in CORNERS]
 
 
 @settings(max_examples=40, deadline=None)

@@ -414,12 +414,35 @@ class TestKinematicBackend:
             assert backend.base_pos[2] == 3.0 * robot.height_nominal
             assert backend.base_lin_vel[2] == 0.0
 
-    def test_height_servoed_to_nominal(self):
+    @pytest.mark.parametrize("name", ["A1", "Dog3"])
+    def test_base_writes_between_steps_hold(self, name):
+        # no servo, no fall: a base lifted to 1.3x its nominal height, then
+        # rolled by 1.2 rad, stays so, in the env and in the oracle alike
+        robot = REG.get(name)
+        lifted = 1.3 * robot.height_nominal
+        env, ref = QuadrupedEnv(robot), QuadrupedEnv(robot)
+        env.reset()
+        ref.reset()
+        for k in range(10):
+            for backend in (env.backend, ref.backend):
+                if k == 3:
+                    x, y, _ = backend.base_pos
+                    backend.base_pos = (x, y, lifted)
+                if k == 6:
+                    backend.base_rpy = (1.2, 0.0, 0.0)
+            got = env.step(TROT_ACTION)
+            want, _ = substep_loop_step(ref, TROT_ACTION)
+            assert repr(got) == repr(want), k
+            assert backend_state(env.backend) == backend_state(ref.backend), k
+        assert env.backend.base_pos[2] == lifted
+        assert env.backend.base_rpy == (1.2, 0.0, 0.0)
+
+    def test_height_held_at_nominal(self):
         env = QuadrupedEnv(A1)
         env.reset(seed=0)
         for _ in range(500):
             env.step(TROT_ACTION)
-        assert env.backend.base_pos[2] == pytest.approx(A1.height_nominal, abs=1e-6)
+        assert env.backend.base_pos[2] == A1.height_nominal
 
     def test_displacement_per_cycle(self):
         # one full trot cycle sweeps ~4 * L_step * r forward

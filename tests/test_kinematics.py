@@ -172,6 +172,7 @@ class TestIk4Dof:
                            link_lengths=(0.1, 0.1, 0.3), knee_config=knee_config)
         psi = math.pi if knee_config == ELBOW_UP else -math.pi
         x, y, z = fk_leg(geom, (0.0, math.pi, 2.0 * psi, FOOT_COUPLING_RATIO * 2.0 * psi))
+        assert y == geom.abd_offset   # q_abd = 0: a pattern-formation target
         for _ in range(4):
             x, z = math.nextafter(x, 0.0), math.nextafter(z, 0.0)
         z_leg = -math.sqrt(y * y + z * z - geom.dd)
@@ -181,7 +182,7 @@ class TestIk4Dof:
         q, clamped = _solve(geom, x, y, z)
         assert not clamped
         kernel = _Legs(SimpleNamespace(legs=[geom] * 4)).ik(
-            *(np.full((1, 4), v) for v in (x, y, z)))
+            *(np.full((1, 4), v) for v in (x, z)))
         assert [tuple(leg) for leg in kernel[0].tolist()] == [q] * 4
 
 
@@ -569,7 +570,9 @@ def boundary_target(draw):
 class TestClampTolerance:
     """A target less than _CLAMP_TOL / 2 past every boundary is not flagged,
     one more than 2 * _CLAMP_TOL past any boundary is; the kernel's IK
-    returns the scalar solver's joints on these targets."""
+    returns the scalar solver's joints on each target's pattern-formation
+    form, which has y = abd_offset and the same leg-plane point, so it
+    meets the reach and knee boundaries but never the abduction circle's."""
 
     @settings(max_examples=1500, deadline=None)
     @given(boundary_target())
@@ -581,6 +584,9 @@ class TestClampTolerance:
             assert not clamped
         if worst > 2 * _CLAMP_TOL:
             assert clamped
+        x, y, z = target
+        pf_z = -math.sqrt(max(y * y + z * z, geom.dd) - geom.dd)
+        q, _ = _solve(geom, x, geom.abd_offset, pf_z)
         kernel = _Legs(SimpleNamespace(legs=[geom] * 4)).ik(
-            *(np.full((1, 4), v) for v in target))
+            *(np.full((1, 4), v) for v in (x, pf_z)))
         assert [tuple(leg) for leg in kernel[0].tolist()] == [q] * 4

@@ -173,10 +173,10 @@ def test_each_fact_has_one_owner():
     # the IK's per-leg constants: computed once per LegGeometry, read elsewhere
     for expr in IK_CONSTANTS:
         assert computations_in_src(expr) == [("kinematics.py", "__post_init__")], expr
-    # the IK's abduction: one scalar solver for both leg types and twin legs,
-    # and the kernel's
-    assert computations_in_src("y * y + z * z") == [("batch.py", "ik"),
-                                                     ("kinematics.py", "_solve")]
+    # the IK's abduction: one scalar solver for both leg types, twin legs and
+    # any target, and the kernel's over pattern-formation targets (y = d)
+    assert computations_in_src("y * y + z * z") == [("kinematics.py", "_solve")]
+    assert computations_in_src("self.dd + z * z") == [("batch.py", "ik")]
     # the twin key, which the env and the kernel both ask
     assert readers_in_src("knee_config") == [("environment.py", "twin_legs"),
                                              ("kinematics.py", "__post_init__")]
