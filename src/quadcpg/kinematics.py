@@ -81,12 +81,12 @@ class LegGeometry:
     """Geometry of one leg: attachment, lateral offset and link lengths.
 
     Construction also sets the analytical IK's per-leg constants, which
-    `_solve` reads, and records their names in `ik_constants`, the list
-    `batch._Legs` stacks: `dd`, the squared abduction offset, its clamp
-    bound `dd_in` and `elbow_down`; on 3-DoF legs the reach bounds `lo`/`hi`,
-    their clamp bounds `lo_in`/`hi_out` and the law-of-cosines terms `l1l1`,
-    `l2l2`, `two_l1l2`; on 4-DoF legs the knee quadratic's `qb`, `qk0`,
-    `qbqb`, `four_qa`, `two_qa` and the discriminant's clamp bound `disc_in`.
+    `_solve` reads, and names in `ik_constants` those `batch._Legs` stacks:
+    `dd`, the squared abduction offset, and `elbow_down`; on 3-DoF legs the
+    reach bounds `lo`/`hi` and the law-of-cosines terms `l1l1`, `l2l2`,
+    `two_l1l2`; on 4-DoF legs the knee quadratic's `qb`, `qk0`, `qbqb`,
+    `four_qa`, `two_qa` and the discriminant's clamp bound `disc_in`.  The
+    clamp bounds `dd_in`, `lo_in` and `hi_out` only `_solve` reads.
     """
 
     hip_offset: Tuple[float, float, float]  # body frame -> hip joint, m
@@ -111,24 +111,23 @@ class LegGeometry:
         d, links = self.abd_offset, self.link_lengths
         l1, l2 = links[:2]
         dd = d * d
-        consts = {"dd": dd, "dd_in": dd * (1.0 - _CLAMP_TOL),
-                  "elbow_down": self.knee_config == ELBOW_DOWN}
+        consts = {"dd": dd, "elbow_down": self.knee_config == ELBOW_DOWN}
+        bounds = {"dd_in": dd * (1.0 - _CLAMP_TOL)}   # clamp bounds only `_solve` reads
         if len(links) == 2:
             lo, hi = abs(l1 - l2), l1 + l2
-            consts.update(lo=lo, hi=hi, lo_in=lo * (1.0 - _CLAMP_TOL),
-                          hi_out=hi * (1.0 + _CLAMP_TOL), l1l1=l1 * l1, l2l2=l2 * l2,
-                          two_l1l2=2.0 * l1 * l2)
+            consts.update(lo=lo, hi=hi, l1l1=l1 * l1, l2l2=l2 * l2, two_l1l2=2.0 * l1 * l2)
+            bounds.update(lo_in=lo * (1.0 - _CLAMP_TOL), hi_out=hi * (1.0 + _CLAMP_TOL))
         else:
             l3 = links[2]
             qa, qb = 4.0 * l1 * l2, 2.0 * (l1 + l2) * l3
             consts.update(qb=qb, qk0=l1 * l1 + l2 * l2 + l3 * l3 - 2.0 * l1 * l2,
                           qbqb=qb * qb, four_qa=4.0 * qa, two_qa=2.0 * qa,
                           disc_in=-_CLAMP_TOL * qb * qb)
-        if not (all(map(math.isfinite, consts.values()))
+        if not (all(map(math.isfinite, [*consts.values(), *bounds.values()]))
                 and consts.get("two_l1l2", consts.get("two_qa")) > 0.0):
             raise ValueError(f"link_lengths {links}, abd_offset {d}: IK constant out of range")
         consts["ik_constants"] = tuple(consts)
-        for name, value in consts.items():
+        for name, value in {**consts, **bounds}.items():
             object.__setattr__(self, name, value)   # frozen: set once, here
 
     @property

@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import List, Optional, Sequence
 
 from .environment import CONTROL_DT, N_SUBSTEPS, QuadrupedEnv, sum_in_order
@@ -155,38 +156,53 @@ def run_open_loop_trajectory(robot: RobotDescriptor, mu: float, omega: float,
 
     The oscillators start from a trot, are integrated at the 1 kHz rate
     and are sampled once per control period.  A command outside the
-    command box raises ValueError.  Returns (columns, rows).
+    command box raises ValueError.  Returns (columns, rows).  All legs share
+    r (one mu, all at rest), and legs with one start phase share theta: the
+    same IEEE operations on the same inputs.  So the recurrence advances each
+    distinct start once (the trot has two), and each leg takes its start's.
     """
     check_command_box(mu, omega)
     n_samples = _control_periods(duration)
-    # the legs share r and r_dot (one mu, all at rest), each has its phase; the
-    # recurrence runs on floats, pattern formation over all samples at once
     cpg = init_cpg(TROT_PHASES)
     r, r_dot = cpg[0].r, cpg[0].r_dot
-    fr, fl, rr, rl = (s.theta for s in cpg)
+    a, b = starts = list(dict.fromkeys(s.theta for s in cpg))   # the trot's: 0, pi
     theta_dot = TWO_PI * omega
     amplitudes, phases = [], []
     for _ in range(n_samples):
         for _ in range(N_SUBSTEPS):
-            r, r_dot, fr, fl, rr, rl = advance(r, r_dot, mu, theta_dot, fr, fl, rr, rl)
+            r, r_dot, a, b = advance(r, r_dot, mu, theta_dot, a, b)
         amplitudes.append(r)
-        phases.append((fr, fl, rr, rl))
+        phases.append((a, b))
     import numpy as np   # imported here, on first use
     from .batch import foot_targets
-    x, z = foot_targets(robot, amplitudes, phases)   # y is each leg's abd_offset
+    thetas = np.take(phases, [starts.index(s.theta) for s in cpg], axis=1)   # each leg's
+    x, z = foot_targets(robot, amplitudes, thetas)   # y is each leg's abd_offset
     y = np.broadcast_to([leg.abd_offset for leg in robot.legs], x.shape)
-    feet = np.stack((x, y, z), axis=-1).reshape(n_samples, -1).tolist()
-    rows = [[(k + 1) * CONTROL_DT, r, r, r, r, *thetas, *targets]
-            for k, (r, thetas, targets) in enumerate(zip(amplitudes, phases, feet))]
+    feet = np.stack((x, y, z), axis=-1).reshape(n_samples, -1)
+    rows = [[(k + 1) * CONTROL_DT, r, r, r, r, *cells] for k, (r, cells)
+            in enumerate(zip(amplitudes, np.hstack((thetas, feet)).tolist()))]
     return trajectory_columns(), rows
 
 
-def write_csv(columns: Sequence[str], rows, path: str) -> None:
-    """Write a table of floats as csv.writer would: repr values, none quoted, CRLF."""
+class _Reprs(dict):
+    """repr of each float, stored on first use but for 0.0, equal to -0.0, and NaN."""
+
+    def __missing__(self, value: float) -> str:
+        if value == value != 0.0:
+            return self.setdefault(value, repr(value))
+        return repr(value)
+
+
+def write_csv(columns: Sequence[str], rows: Sequence[Sequence[float]], path: str) -> None:
+    """Write a table as csv.writer would over repr of each cell: none quoted, CRLF.
+    An all-float table forms each distinct value's repr once (rows repeat many);
+    any other forms each cell's, for 1, True and np.float64(1.0) key as 1.0."""
+    floats = set(map(type, chain.from_iterable(rows))) <= {float}
+    form = _Reprs().__getitem__ if floats else repr
     with open(path, "w", newline="") as fh:
         fh.write(",".join(columns) + "\r\n")
         for row in rows:
-            fh.write(",".join(map(repr, row)) + "\r\n")
+            fh.write(",".join(map(form, row)) + "\r\n")
 
 
 def write_record_csv(record: RolloutRecord, path: str) -> None:

@@ -198,6 +198,28 @@ def test_twin_classes(robot):
         assert solved[legs.twin].tolist() == ["fr", "fl", "fl", "fr"]
 
 
+@pytest.mark.parametrize("name", ["A1", "Dog3", "Little Dog"])
+def test_legs_stack_only_what_ik_reads(name):
+    """`_Legs` stacks the IK constants `ik_constants` names, and `_Legs.ik`
+    reads every one of them: no per-leg array is built and left unread."""
+    robot = REG.get(name)
+    geometry = robot.legs[0]
+    stacked = {attr for attr in vars(batch._Legs(robot)) if hasattr(geometry, attr)}
+    assert set(geometry.ik_constants) <= stacked
+    read = set()
+
+    class Spy(batch._Legs):
+        def __getattribute__(self, attr):
+            read.add(attr)
+            return super().__getattribute__(attr)
+
+    legs = Spy(robot)
+    read.clear()
+    theta = np.add.outer(np.linspace(0.0, TWO_PI, 100), TROT_PHASES)
+    legs.ik(*batch.foot_targets(robot, np.ones(100), theta))
+    assert stacked - read == set()
+
+
 def math_calls(robot):
     """(function, elements) of each `_math` call, in call order, of one
     `_Legs.ik` over a nominal trot period of 100 targets per leg."""

@@ -4,6 +4,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -72,13 +73,21 @@ def substep_trajectory(robot, mu, omega, duration):
     return rows
 
 
+def csv_module_bytes(columns, rows):
+    """The bytes csv.writer gives for the header and repr of every cell."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(columns)
+    writer.writerows([repr(v) for v in row] for row in rows)
+    return out.getvalue().encode()
+
+
 def assert_same_as_substep_loop(robot, mu, omega, duration, tmp_path):
     columns, rows = run_open_loop_trajectory(robot, mu, omega, duration)
     oracle = substep_trajectory(robot, mu, omega, duration)
     assert rows == oracle
     write_csv(columns, rows, str(tmp_path / "traj.csv"))
-    write_csv(columns, oracle, str(tmp_path / "oracle.csv"))
-    assert (tmp_path / "traj.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+    assert (tmp_path / "traj.csv").read_bytes() == csv_module_bytes(columns, oracle)
 
 
 class TestTrajectoryEqualsSubstepLoop:
@@ -186,18 +195,34 @@ class TestSeed:
 
 
 class TestCsvRoundTrip:
+    #: Floats a memo keyed by value could write wrong: the zeros (equal, with
+    #: different reprs) in both orders, NaN (equal to nothing), subnormals and
+    #: values repeated across rows, so that a memo gets hits.
+    FLOATS = [[0.0, -0.0, math.nan, 1e16, 1e-05, 0.1],
+              [-0.0, 0.0, -math.inf, 1e-05, 5e-324, 0.1],
+              [0.0, -0.0, math.nan, 1e16, 1e-05, 0.1],
+              [-0.0, 0.0, 5e-324, -math.inf, 1e16, math.nan]]
+    #: Cells equal to 1.0, 0.0 or 1.5 as dict keys whose repr is not the float's.
+    MIXED = FLOATS + [[1.0, 1, 0.0, 0, 1.5, np.float64(1.5)],
+                      [1, 1.0, 0, 0.0, np.float64(1.5), 1.5],
+                      [True, 1.0, False, 0.0, 1.5, True]]
+
     def test_write_csv_bytes_match_csv_module(self, tmp_path):
-        columns = ["t", "a", "b"]
-        rows = [[0.01, math.nan, math.inf], [-math.inf, -0.0, 5e-324],
-                [1e300, -1e-300, 0.1 + 0.2], [1.0, 0.0, 12345678901234567.0]]
+        edges = [[0.01, math.nan, math.inf], [-math.inf, -0.0, 5e-324],
+                 [1e300, -1e-300, 0.1 + 0.2], [1.0, 0.0, 12345678901234567.0]]
         path = tmp_path / "t.csv"
-        write_csv(columns, rows, str(path))
-        expected = io.StringIO(newline="")
-        writer = csv.writer(expected)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([repr(v) for v in row])
-        assert path.read_bytes() == expected.getvalue().encode()
+        for name, rows in [("edges", edges), ("floats", self.FLOATS), ("mixed", self.MIXED)]:
+            columns = [f"c{k}" for k in range(len(rows[0]))]
+            write_csv(columns, rows, str(path))
+            assert path.read_bytes() == csv_module_bytes(columns, rows), name
+
+    def test_record_bytes_match_csv_module(self, tmp_path):
+        record = run_rollout(REG.get("Dog3"), open_loop_trot(1.0, 2.5), 10.0, seed=0)
+        assert any(math.copysign(1.0, v) < 0.0 for row in record.rows for v in row
+                   if v == 0.0)   # the record holds -0.0 cells
+        path = tmp_path / "dog3.csv"
+        write_record_csv(record, str(path))
+        assert path.read_bytes() == csv_module_bytes(record.columns, record.rows)
 
     def test_write_read_identity(self, tmp_path):
         record = run_rollout(A1, open_loop_trot(1.0, 2.5), duration=0.5, seed=0)
