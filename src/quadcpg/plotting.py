@@ -51,12 +51,6 @@ def _scale(values, lo_px, hi_px):
     return to_px, vmin, vmax
 
 
-def _polyline(t_px, y_px, color):
-    pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(t_px, y_px))
-    return (f'<polyline fill="none" stroke="{color}" stroke-width="1.2" '
-            f'points="{pts}"/>')
-
-
 def _panel(panel_id, title, t, series, labels, y0):
     """One panel: frame, title, y-range labels and one polyline per series."""
     x_lo, x_hi = _MARGIN_L, _WIDTH - _MARGIN_R
@@ -74,9 +68,17 @@ def _panel(panel_id, title, t, series, labels, y0):
                  f'text-anchor="end">{vmin:.3g}</text>')
     parts.append(f'<text x="{x_lo - 6}" y="{y_top + 10}" font-size="11" fill="#555" '
                  f'text-anchor="end">{vmax:.3g}</text>')
-    t_px = [to_x(v) for v in t]
-    for values, label, color in zip(series, labels, _COLORS):
-        parts.append(_polyline(t_px, [to_y(v) for v in values], color))
+    xs = [f"{to_x(v):.2f}," for v in t]   # each row's x, formatted once
+    drawn = []   # (values, points) of each distinct series so far
+    for values, color in zip(series, _COLORS):
+        # A series == an earlier one draws its points: +0.0 and -0.0 land on
+        # one pixel (a nonzero margin plus a term), and _column rejects NaN.
+        pts = next((p for seen, p in drawn if seen == values), None)
+        if pts is None:
+            pts = " ".join([x + f"{to_y(v):.2f}" for x, v in zip(xs, values)])
+            drawn.append((values, pts))
+        parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.2" '
+                     f'points="{pts}"/>')
     for i, (label, color) in enumerate(zip(labels, _COLORS)):
         parts.append(f'<text x="{x_hi - 40 * (len(labels) - i)}" y="{y_top + 14}" '
                      f'font-size="11" fill="{color}">{label}</text>')

@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence
 
 from .environment import CONTROL_DT, N_SUBSTEPS, QuadrupedEnv, sum_in_order
 from .oscillator import (ALPHA, DT_INTEGRATION, LIMBS, TROT_PHASES, TWO_PI, advance,
-                         check_command_box, init_cpg)
+                         amplitude_settled, check_command_box, init_cpg)
 from .registry import RobotDescriptor
 
 SCHEMA_VERSION = 1
@@ -160,6 +160,10 @@ def run_open_loop_trajectory(robot: RobotDescriptor, mu: float, omega: float,
     r (one mu, all at rest), and legs with one start phase share theta: the
     same IEEE operations on the same inputs.  So the recurrence advances each
     distinct start once (the trot has two), and each leg takes its start's.
+    Once a sample's last substep leaves (r, r_dot) as it found them
+    (`oscillator.amplitude_settled`), r holds for good, and the remaining
+    substeps advance the phases alone by `advance`'s own phase line,
+    (theta + theta_dot * DT_INTEGRATION) % TWO_PI, which the two share.
     """
     check_command_box(mu, omega)
     n_samples = _control_periods(duration)
@@ -170,9 +174,19 @@ def run_open_loop_trajectory(robot: RobotDescriptor, mu: float, omega: float,
     amplitudes, phases = [], []
     for _ in range(n_samples):
         for _ in range(N_SUBSTEPS):
+            last = r, r_dot
             r, r_dot, a, b = advance(r, r_dot, mu, theta_dot, a, b)
         amplitudes.append(r)
         phases.append((a, b))
+        if amplitude_settled(*last, r, r_dot):
+            break
+    step = theta_dot * DT_INTEGRATION
+    for _ in range(n_samples - len(phases)):   # r has settled: the phases alone
+        for _ in range(N_SUBSTEPS):
+            a = (a + step) % TWO_PI
+            b = (b + step) % TWO_PI
+        phases.append((a, b))
+    amplitudes += [r] * (n_samples - len(amplitudes))
     import numpy as np   # imported here, on first use
     from .batch import foot_targets
     thetas = np.take(phases, [starts.index(s.theta) for s in cpg], axis=1)   # each leg's

@@ -10,8 +10,8 @@ from quadcpg.environment import CONTROL_DT, N_SUBSTEPS
 from quadcpg.oscillator import (ALPHA, DT_INTEGRATION, MU_MAX, MU_MIN, OMEGA_MAX_HZ,
                                 OMEGA_MIN_HZ, TWO_PI, CpgCommand, CpgConfig,
                                 InvalidCommandError, OscillatorState, advance,
-                                clamp_command, closed_form_amplitude, init_cpg,
-                                step_oscillator)
+                                amplitude_settled, clamp_command, closed_form_amplitude,
+                                init_cpg, step_oscillator)
 
 
 def integrate(state, mu, omega, t):
@@ -63,6 +63,53 @@ class TestAdvance:
         for theta, new in zip((0.0, 1.0, 6.0), thetas):
             state = step_oscillator(OscillatorState(0.2, 1.5, theta, 0.0), 2.0, 0.7)
             assert state[:3] == (r, r_dot, new)
+
+
+def substeps_to_settle(mu):
+    """Substeps of `advance` from rest until (r, r_dot) is a fixed point,
+    with that point; None if it does not settle within 10 s."""
+    r = r_dot = 0.0
+    for n in range(10_000):
+        r_next, rd_next = advance(r, r_dot, mu, 0.0)
+        if amplitude_settled(r, r_dot, r_next, rd_next):
+            return n, (r, r_dot)
+        r, r_dot = r_next, rd_next
+    return None
+
+
+class TestAmplitudeSettled:
+    def test_fires_on_a_nonzero_fixed_point_only(self):
+        assert amplitude_settled(1.0, 1e-14, 1.0, 1e-14)
+        assert amplitude_settled(-2.0, -3e-15, -2.0, -3e-15)
+        assert not amplitude_settled(1.0, 1e-14, 1.0, 2e-14)
+        assert not amplitude_settled(1.0, 1e-14, 1.0 + 2 ** -52, 1e-14)
+
+    @pytest.mark.parametrize("r, r_dot, r_next, rd_next", [
+        (math.nan, 1e-14, math.nan, 1e-14), (1.0, math.nan, 1.0, math.nan),
+        (math.nan, math.nan, math.nan, math.nan)])
+    def test_never_fires_on_nan(self, r, r_dot, r_next, rd_next):
+        assert not amplitude_settled(r, r_dot, r_next, rd_next)
+
+    @pytest.mark.parametrize("a, b", [(0.0, -0.0), (-0.0, 0.0), (0.0, 0.0), (-0.0, -0.0)])
+    def test_never_fires_on_zeros(self, a, b):
+        assert not amplitude_settled(1.0, a, 1.0, b)
+        assert not amplitude_settled(a, 1e-14, b, 1e-14)
+        assert not amplitude_settled(a, a, b, b)
+
+    @pytest.mark.parametrize("mu", [MU_MIN, 1.0, 2.5, MU_MAX])
+    def test_box_settles_from_rest_in_the_measured_band(self, mu):
+        # the premise of the trajectory's settled branch: if a change to
+        # advance stops the amplitude settling, this says so
+        n, (r, r_dot) = substeps_to_settle(mu)
+        assert 2154 <= n <= 2184
+        assert r_dot != 0.0
+
+    def test_a_settled_amplitude_holds_bit_for_bit(self):
+        _, point = substeps_to_settle(MU_MAX)
+        r, r_dot, theta = *point, 0.0
+        for _ in range(5_000):
+            r, r_dot, theta = advance(r, r_dot, MU_MAX, TWO_PI * 5.0, theta)
+            assert (r.hex(), r_dot.hex()) == (point[0].hex(), point[1].hex())
 
 
 class TestClampCommand:

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from quadcpg import rollout
 from quadcpg.controllers import open_loop_trot
 from quadcpg.environment import CONTROL_DT, N_SUBSTEPS
 from quadcpg.foot_trajectory import foot_target
 from quadcpg.oscillator import (MU_MAX, MU_MIN, OMEGA_MAX_HZ, OMEGA_MIN_HZ, TROT_PHASES,
-                                init_cpg, step_oscillator)
+                                advance, init_cpg, step_oscillator)
 from quadcpg.registry import builtin_registry
 from quadcpg.rollout import (read_record_csv, record_columns,
                              run_open_loop_trajectory, run_rollout,
@@ -90,26 +91,50 @@ def assert_same_as_substep_loop(robot, mu, omega, duration, tmp_path):
     assert (tmp_path / "traj.csv").read_bytes() == csv_module_bytes(columns, oracle)
 
 
+CORNERS = [(MU_MIN, OMEGA_MIN_HZ), (MU_MIN, OMEGA_MAX_HZ), (MU_MAX, OMEGA_MIN_HZ),
+           (MU_MAX, OMEGA_MAX_HZ)]
+
+
+def corners_and_drawn(name):
+    """The box corners and two commands drawn from the box, seeded by name."""
+    rng = random.Random(name)
+    return CORNERS + [(rng.uniform(MU_MIN, MU_MAX), rng.uniform(OMEGA_MIN_HZ, OMEGA_MAX_HZ))
+                      for _ in range(2)]
+
+
 class TestTrajectoryEqualsSubstepLoop:
-    """Rows == and CSV bytes equal to a per-substep oracle loop."""
+    """Rows == and CSV bytes equal to a per-substep oracle loop.  From rest
+    the amplitude settles after about 2.2 s, and the trajectory then
+    advances the phases alone; runs of 3 s and more take that branch."""
 
     @pytest.mark.parametrize("name", REG.names())
     def test_every_robot(self, name, tmp_path):
-        robot = REG.get(name)
-        rng = random.Random(name)
-        commands = [(MU_MIN, OMEGA_MIN_HZ), (MU_MIN, OMEGA_MAX_HZ), (MU_MAX, OMEGA_MIN_HZ),
-                    (MU_MAX, OMEGA_MAX_HZ)] + [
-            (rng.uniform(MU_MIN, MU_MAX), rng.uniform(OMEGA_MIN_HZ, OMEGA_MAX_HZ))
-            for _ in range(2)]
-        for mu, omega in commands:
-            assert_same_as_substep_loop(robot, mu, omega, 0.5, tmp_path)
+        for mu, omega in corners_and_drawn(name):
+            assert_same_as_substep_loop(REG.get(name), mu, omega, 0.5, tmp_path)
+
+    @pytest.mark.parametrize("name", REG.names())
+    def test_every_robot_past_settling(self, name, tmp_path):
+        for mu, omega in corners_and_drawn(name):
+            assert_same_as_substep_loop(REG.get(name), mu, omega, 3.0, tmp_path)
 
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(mu=st.floats(MU_MIN, MU_MAX), omega=st.floats(OMEGA_MIN_HZ, OMEGA_MAX_HZ),
-           duration=st.floats(0.01, 1.0))
+           duration=st.floats(0.01, 4.0))
     def test_any_command_and_duration(self, mu, omega, duration, tmp_path):
         assert_same_as_substep_loop(A1, mu, omega, duration, tmp_path)
+
+    def test_settled_amplitude_is_not_integrated(self, monkeypatch):
+        # 20 s is 20,000 substeps; the amplitude settles within 2,200
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return advance(*args)
+
+        monkeypatch.setattr(rollout, "advance", counted)
+        run_open_loop_trajectory(A1, MU_MAX, OMEGA_MAX_HZ, 20.0)
+        assert 2154 < len(calls) <= 2200
 
 
 class TestTrajectoryMatchesRollout:
