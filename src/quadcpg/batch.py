@@ -5,13 +5,14 @@
 and (N, 4, dof) arrays does the scalar code's IEEE operations in its order.
 numpy supplies + - * /, sqrt, comparisons, where, minimum/maximum, abs, %
 and sin/cos (equal to `math`'s); acos, atan2 and hypot, whose last bit
-differs in numpy, go element by element through `math`; sums run joint by
-joint and leg by leg, never pairwise, the power term through the scalar
-reward's own `environment.sum_in_order`, and running values (base x, the
-held stance velocity) through the strictly in-order `np.add.accumulate` and
-`np.maximum.accumulate`.  Only the two recurrences -- oscillator and joint
-lag -- go substep by substep; every other stage runs once per tile of
-(substep, lane) pairs, so numpy's per-call overhead is paid per tile.
+differs in numpy, go element by element through `math`.  Each sum is one
+in-order `np.add.accumulate` from its start: base x and the return over the
+steps from the carried value, the stance steps over the legs and the power
+term over legs and joints from +0.0 (`_sum`), as `environment.sum_in_order`
+adds.  A swing leg adds +0.0, and x + 0.0 == x unless x is -0.0, which a
+sum from +0.0 never is: in round-to-nearest a + b is -0.0 only if both are.
+Only the two recurrences -- oscillator and joint lag -- go substep by
+substep; every other stage runs once per tile of (substep, lane) pairs.
 Every episode runs its whole horizon: the kinematic world cannot fall.
 The scalar `QuadrupedEnv` stays the closed-loop path and the oracle.
 
@@ -45,7 +46,7 @@ from typing import Iterable, List, Tuple
 import numpy as np
 
 from .environment import (CONTACT_TOL, N_SUBSTEPS, W_FORWARD, W_ORIENTATION, W_POWER,
-                          QuadrupedEnv, check_horizon, sum_in_order, twin_legs)
+                          QuadrupedEnv, check_horizon, twin_legs)
 from .kinematics import _CLAMP_TOL, FOOT_COUPLING_RATIO, TINY_ANGLE
 from .oscillator import DT_INTEGRATION, TROT_PHASES, TWO_PI, advance, clamp_command
 from .registry import RobotDescriptor
@@ -62,15 +63,15 @@ def _math(fn, *arrays: np.ndarray) -> np.ndarray:
     return np.fromiter(flat, float, arrays[0].size).reshape(arrays[0].shape)
 
 
+def _sum(start, terms: np.ndarray) -> np.ndarray:
+    """start + terms[0] + terms[1] + ... left to right along the first axis:
+    the last row of the in-order np.add.accumulate, never a pairwise sum."""
+    return np.add.accumulate(np.concatenate((np.full((1, *terms.shape[1:]), start), terms)))[-1]
+
+
 def _wrap(angle: np.ndarray) -> np.ndarray:
     """atan2(sin a, cos a): the angle wrapped to (-pi, pi] as the IK does."""
     return _math(math.atan2, np.sin(angle), np.cos(angle))
-
-
-def _index(legs: List[int]):
-    """legs as an index of the leg axis: a slice when they run 0, 1, ..., so
-    that a robot without twins indexes views, not copies; else an array."""
-    return slice(len(legs)) if legs == list(range(len(legs))) else np.array(legs)
 
 
 class _Legs:
@@ -83,8 +84,8 @@ class _Legs:
         self.dof = legs[0].dof
         source = twin_legs(legs, TROT_PHASES)
         solved = list(dict.fromkeys(source))   # one leg of each class, in order
-        self.solved = _index(solved)
-        self.twin = _index([solved.index(leg) for leg in source])
+        self.solved = np.array(solved)
+        self.twin = np.array([solved.index(leg) for leg in source])
         sagittal = [legs[i] for i in solved]
         self.links = [np.array(col) for col in zip(*(leg.link_lengths for leg in sagittal))]
         self.d = np.array([leg.abd_offset for leg in legs])
@@ -112,11 +113,12 @@ class _Legs:
             l1, l2 = self.links
             rho = _math(math.hypot, x, z_leg)
             over = rho > self.hi
-            moved, nonzero = over | (rho < self.lo), rho > 0.0
+            moved = over | (rho < self.lo)
             bound = np.where(over, self.hi, self.lo)
-            scale = bound / np.where(nonzero, rho, 1.0)
-            x = np.where(moved, np.where(nonzero, x * scale, 0.0), x)
-            z_leg = np.where(moved, np.where(nonzero, z_leg * scale, -self.lo), z_leg)
+            away = rho > bound * 2.0 ** -1022   # else the hip, as in kinematics._solve
+            scale = bound / np.where(away, rho, 1.0)
+            x = np.where(moved, np.where(away, x * scale, 0.0), x)
+            z_leg = np.where(moved, np.where(away, z_leg * scale, -self.lo), z_leg)
             rho = np.where(moved, bound, rho)
             cos_knee = (rho * rho - self.l1l1 - self.l2l2) / self.two_l1l2
             knee = _math(math.acos, np.minimum(1.0, np.maximum(-1.0, cos_knee)))
@@ -143,10 +145,10 @@ class _Legs:
             # project the (possibly unreachable) direction onto the clamped reach
             norm = _math(math.hypot, u[clamped], v[clamped])
             reach = _math(math.hypot, a[clamped], b[clamped])
-            zero = norm == 0.0
-            scale = reach / np.where(zero, 1.0, norm)
-            u[clamped] = np.where(zero, 0.0, u[clamped] * scale)
-            v[clamped] = np.where(zero, reach, v[clamped] * scale)
+            away = norm > reach * 2.0 ** -1022   # else the hip, as in kinematics._solve
+            scale = reach / np.where(away, norm, 1.0)
+            u[clamped] = np.where(away, u[clamped] * scale, 0.0)
+            v[clamped] = np.where(away, v[clamped] * scale, reach)
         hip = _math(math.atan2, u, v) - _math(math.atan2, b, a)
         return self._joints(q_abd, _wrap(hip), knee, FOOT_COUPLING_RATIO * knee)
 
@@ -157,14 +159,13 @@ class _Legs:
     def feet_xz(self, q):
         """Body-frame foot x and z of fk_all_feet over (N, 4, dof) joints in
         which twin legs hold equal sagittal joints, as they do all episode."""
-        sagittal = q[..., self.solved, :]
-        a1 = sagittal[..., 1]
-        a2 = a1 + sagittal[..., 2]
+        a1 = q[..., self.solved, 1]
+        a2 = a1 + q[..., self.solved, 2]
         l1, l2 = self.links[:2]
         sx = l1 * np.sin(a1) + l2 * np.sin(a2)
         cz = l1 * np.cos(a1) + l2 * np.cos(a2)
         if self.dof == 4:
-            a3 = a2 + sagittal[..., 3]
+            a3 = a2 + q[..., self.solved, 3]
             sx = sx + self.links[2] * np.sin(a3)
             cz = cz + self.links[2] * np.cos(a3)
         sx, cz = sx[..., self.twin], cz[..., self.twin]
@@ -244,9 +245,7 @@ def _episodes(env: QuadrupedEnv, legs: _Legs, commands, horizon: int) -> List[fl
         contact = bz + fz <= CONTACT_TOL
         step_x = fx - np.concatenate((fx_prev[None], fx[:-1]))
         fx_prev = fx[-1]
-        sx = np.zeros((t, n))
-        for i in range(4):
-            sx = np.where(contact[..., i], sx + step_x[..., i], sx)
+        sx = _sum(0.0, np.moveaxis(np.where(contact, step_x, 0.0), -1, 0))
         n_stance = np.count_nonzero(contact, axis=-1)
         v = -sx / (np.maximum(n_stance, 1) * dt)
         # with no stance foot vx is held: the latest stance substep's, else the carried
@@ -266,9 +265,8 @@ def _episodes(env: QuadrupedEnv, legs: _Legs, commands, horizon: int) -> List[fl
         qd_end = qds[ends]
         qd_prev = np.concatenate((qd[None], qd_end[:-1]))
         qd = qd_end[-1]
-        power = sum_in_order(trq[..., i, j] * (qd_end[..., i, j] - qd_prev[..., i, j])
-                             for i, j in np.ndindex(4, legs.dof))
+        work = (trq * (qd_end - qd_prev)).reshape(n_steps, n, -1)   # leg-major
+        power = _sum(0.0, np.moveaxis(work, -1, 0))
         reward = forward + orientation + W_POWER * np.abs(power)
-        for k in range(n_steps):
-            total = total + reward[k]
+        total = _sum(total, reward)
     return total.tolist()

@@ -213,7 +213,7 @@ def _solve(geom: LegGeometry, x: float, y: float, z: float, pitch=None):
         elif rho < lo:
             if rho < geom.lo_in:
                 clamped = True
-            if rho > 0.0:
+            if rho > lo * 2.0 ** -1022:   # else at the hip: lo / rho at or near overflow
                 scale = lo / rho
                 x, z_leg, rho = x * scale, z_leg * scale, lo
             else:
@@ -265,12 +265,12 @@ def _solve(geom: LegGeometry, x: float, y: float, z: float, pitch=None):
     u, v = -x, -z_leg
     if clamped:
         # project the (possibly unreachable) direction onto the clamped reach
-        norm = math.hypot(u, v)
-        if norm == 0.0:
-            u, v = 0.0, math.hypot(a, b)
-        else:
-            scale = math.hypot(a, b) / norm
+        norm, reach = math.hypot(u, v), math.hypot(a, b)
+        if norm > reach * 2.0 ** -1022:   # else the hip, as in the 3-DoF clamp
+            scale = reach / norm
             u, v = u * scale, v * scale
+        else:
+            u, v = 0.0, reach
     hip = math.atan2(u, v) - math.atan2(b, a)
     hip = math.atan2(math.sin(hip), math.cos(hip))
     return (q_abd, hip, knee, foot), clamped

@@ -366,7 +366,7 @@ def old_abduction(d, y, z):
 
 
 def old_solve_3dof(geom, x, y, z):
-    """_solve on a 3-DoF leg as it was, computing its constants on every call."""
+    """_solve on a 3-DoF leg, computing its constants on every call."""
     l1, l2 = geom.link_lengths
     q_abd, z_leg, clamped = old_abduction(geom.abd_offset, y, z)
     rho = math.hypot(x, z_leg)
@@ -379,7 +379,7 @@ def old_solve_3dof(geom, x, y, z):
     elif rho < lo:
         if rho < lo * (1.0 - _CLAMP_TOL):
             clamped = True
-        if rho > 0.0:
+        if rho > lo * 2.0 ** -1022:   # else the hip, or next to it
             scale = lo / rho
             x, z_leg, rho = x * scale, z_leg * scale, lo
         else:
@@ -397,7 +397,7 @@ def old_solve_3dof(geom, x, y, z):
 
 
 def old_solve_4dof(geom, x, y, z):
-    """_solve on a 4-DoF leg as it was, computing its constants on every call."""
+    """_solve on a 4-DoF leg, computing its constants on every call."""
     l1, l2, l3 = geom.link_lengths
     q_abd, z_leg, clamped = old_abduction(geom.abd_offset, y, z)
     rho2 = x * x + z_leg * z_leg
@@ -428,7 +428,7 @@ def old_solve_4dof(geom, x, y, z):
     u, v = -x, -z_leg
     if clamped:
         norm = math.hypot(u, v)
-        if norm == 0.0:
+        if not norm > math.hypot(a, b) * 2.0 ** -1022:   # the hip, or next to it
             u, v = 0.0, math.hypot(a, b)
         else:
             scale = math.hypot(a, b) / norm
@@ -513,6 +513,16 @@ class TestSolversEqualTheirPerCallForm:
                     target = (rng.uniform(-0.6, 0.6), rng.uniform(-0.3, 0.3),
                               rng.uniform(-0.9, 0.2))
                     assert outcome(_solve, geom, target) == outcome(old, geom, target)
+
+
+@pytest.mark.parametrize("links", [(0.5, 0.25), (1.0, 0.5, 0.3)])
+def test_a_target_next_to_the_hip_solves_as_the_hip(links):
+    """A target so near the hip that the reach clamp's scale overflows has no
+    direction to keep: it solves as the hip itself, not to NaN."""
+    geom = LegGeometry((0.0, 0.0, 0.0), 0.0, links)
+    q, clamped = _solve(geom, 5e-324, 0.0, 0.0)
+    assert all(map(math.isfinite, q))
+    assert (q, clamped) == _solve(geom, 0.0, 0.0, 0.0)
 
 
 def excursions(geom, x, y, z):

@@ -1,16 +1,19 @@
 import copy
 import math
 import os
+import re
 import tempfile
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import substep_return
 from quadcpg.batch import evaluate_batch
 from quadcpg.cli import EXIT_CONFIG, main
 from quadcpg.controllers import open_loop_trot
+from quadcpg.oscillator import MU_MAX, MU_MIN, OMEGA_MAX_HZ, OMEGA_MIN_HZ
 from quadcpg.registry import (MORPH_ANIMAL, MORPH_MIXED, RegistryError, UnknownRobotError, builtin_registry,
                               get_robot, load_registry, save_registry)
 from quadcpg.rollout import run_rollout
@@ -446,3 +449,109 @@ class TestRobotSize:
         record = run_rollout(robot, open_loop_trot(4.0, 5.0), 0.05)
         assert all(math.isfinite(v) for row in record.rows for v in row)
         assert all(map(math.isfinite, evaluate_batch(robot, [(4.0, 5.0), (1.0, 2.5)], 5)))
+
+
+#: Each number of a registry entry: a value of normal use, as a strategy.
+#: The geometry's lists are varied one element at a time.
+NORMAL = {
+    "height_cm": st.floats(5.0, 200.0), "mass_kg": st.floats(0.1, 500.0),
+    "l_step_cm": st.floats(0.0, 50.0), "l_clrnc_cm": st.floats(0.0, 20.0),
+    "l_pntr_cm": st.floats(0.0, 5.0), "x_offset_cm": st.floats(-20.0, 20.0),
+    "z_offset_cm": st.floats(-20.0, 20.0), "kp": st.floats(1e-3, 5000.0),
+    "kd": st.floats(0.0, 500.0), "y_nominal": st.floats(0.0, 0.2),
+    "link_lengths": st.floats(0.01, 1.0), "hip_offsets": st.floats(-0.5, 0.5),
+}
+
+#: Any float, and every power of ten of either sign up to the float limits.
+EXTREME = st.floats() | st.builds(lambda sign, e: sign * 10.0 ** e,
+                                  st.sampled_from([1.0, -1.0]), st.integers(-323, 308))
+
+#: The names a RegistryError may give a field by: the file's keys, the
+#: descriptor's own names for them and the two categorical fields.
+FIELD_NAMES = re.compile(r"\b(%s)\b" % "|".join(
+    sorted(set(NORMAL) | set(NUMERIC_FIELDS.values()) | {"abd_offset", "dof", "morphology"})))
+
+
+@st.composite
+def registry_entries(draw):
+    """A registry entry whose numbers are normal but for a drawn set of
+    fields, alone or together, which take any float; its geometry is given
+    or derived from the height."""
+    extreme = draw(st.sets(st.sampled_from(sorted(NORMAL))))
+
+    def number(key):
+        return draw(EXTREME if key in extreme else NORMAL[key])
+
+    dof, morphology = draw(st.sampled_from([(12, 1), (12, 2), (16, 3)]))
+    entry = {"name": "Drawn", "dof": dof, "morphology": morphology}
+    entry.update((key, number(key)) for key in
+                 ("height_cm", "mass_kg", "l_step_cm", "l_clrnc_cm", "l_pntr_cm",
+                  "x_offset_cm", "z_offset_cm", "kp", "kd"))
+    if extreme & {"y_nominal", "link_lengths", "hip_offsets"} or draw(st.booleans()):
+        def vector(key, size):
+            values = [draw(NORMAL[key]) for _ in range(size)]
+            if key in extreme:
+                values[draw(st.integers(0, size - 1))] = number(key)
+            return values
+
+        hips = vector("hip_offsets", 12)
+        entry["geometry"] = {"hip_offsets": [hips[i:i + 3] for i in range(0, 12, 3)],
+                             "link_lengths": vector("link_lengths", dof // 4 - 1),
+                             "y_nominal": number("y_nominal")}
+    return entry
+
+
+def example_with(key, value):
+    """The explicit examples: GOOD_ENTRY with one number replaced."""
+    return example(entry=entry_with(key, value), commands=[(4.0, 5.0)], horizon=2)
+
+
+#: Feet whose targets pass a subnormal x_off from the hip: scaling such a
+#: target onto the reach bound overflows, so the IK takes it as the hip.
+NEXT_TO_THE_HIP = {
+    "name": "Drawn", "dof": 12, "morphology": 1, "height_cm": 10.0, "mass_kg": 1.0,
+    "l_step_cm": 0.0, "l_clrnc_cm": 0.0, "l_pntr_cm": 0.0,
+    "x_offset_cm": 1.1125369292536007e-308, "z_offset_cm": 10.0, "kp": 1.0, "kd": 0.0,
+    "geometry": {"hip_offsets": [[0.0, 0.0, 0.0]] * 4, "link_lengths": [1.0, 0.5],
+                 "y_nominal": 0.0},
+}
+
+COMMAND = st.tuples(st.floats(MU_MIN - 1.0, MU_MAX + 1.0),
+                    st.floats(OMEGA_MIN_HZ - 1.0, OMEGA_MAX_HZ + 1.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(entry=registry_entries(), commands=st.lists(COMMAND, min_size=1, max_size=3),
+       horizon=st.integers(1, 3))
+@example_with("l_clrnc_cm", 1e308)
+@example_with("l_pntr_cm", 1e308)
+@example_with("z_offset_cm", 1e308)
+@example_with("kp", 1e308)
+@example_with("kd", 1e304)
+@example(entry=scaled_entry(1e79, 16), commands=[(4.0, 5.0)], horizon=2)
+@example(entry=NEXT_TO_THE_HIP, commands=[(0.0, 0.0)], horizon=1)
+@example(entry=dict(NEXT_TO_THE_HIP, dof=16, morphology=3,
+                    geometry=dict(NEXT_TO_THE_HIP["geometry"], link_lengths=[1.0, 0.5, 0.3])),
+         commands=[(0.0, 0.0)], horizon=1)
+@example(entry=scaled_entry(1e78, 16), commands=[(4.0, 5.0), (1.0, 2.5)], horizon=2)
+def test_every_entry_is_named_or_runs_finite_and_exact(entry, commands, horizon):
+    """A drawn entry either raises a RegistryError naming a field, or runs a
+    finite rollout and kernel returns `==` the per-substep oracle's."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "drawn.yaml")
+        with open(path, "w") as fh:
+            yaml.safe_dump({"robots": [entry]}, fh)
+        try:
+            robot = load_registry(path).get(entry["name"])
+        except RegistryError as exc:
+            name, _, message = str(exc).partition(": ")
+            assert name == entry["name"] and FIELD_NAMES.search(message), str(exc)
+            return
+    mu, omega = commands[0]
+    trot = open_loop_trot(min(max(mu, MU_MIN), MU_MAX),
+                          min(max(omega, OMEGA_MIN_HZ), OMEGA_MAX_HZ))
+    record = run_rollout(robot, trot, 0.03)
+    assert all(math.isfinite(v) for row in record.rows for v in row)
+    returns = evaluate_batch(robot, commands, horizon)
+    assert all(map(math.isfinite, returns))
+    assert returns == [substep_return(robot, mu, omega, horizon) for mu, omega in commands]

@@ -128,6 +128,38 @@ def test_batch_guard_allows_in_order_accumulation():
     assert batch_violations("x = np.add.accumulate(d) + np.maximum.accumulate(i)") == []
 
 
+def episode_loops(source):
+    """The Python loops of `batch._episodes`: (target, nested loop targets)
+    for each loop at its top level, and every name the module reads."""
+    tree = ast.parse(source)
+    episodes = next(node for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef) and node.name == "_episodes")
+    loops = [(ast.unparse(node.target),
+              [ast.unparse(inner.target) for inner in ast.walk(node)
+               if inner is not node and isinstance(inner, (ast.For, ast.While))])
+             for node in episodes.body if isinstance(node, (ast.For, ast.While))]
+    names = {node.attr if isinstance(node, ast.Attribute) else node.id
+             for node in ast.walk(tree) if isinstance(node, (ast.Attribute, ast.Name))}
+    return loops, names
+
+
+def test_batch_tile_loops_only_over_its_recurrences():
+    """One loop over the tiles, inside it one over the oscillator's substeps
+    and one over the joint lag's; every sum is an in-order np.add.accumulate,
+    none a loop over legs, joints or steps."""
+    loops, names = episode_loops((SRC / "batch.py").read_text())
+    assert loops == [("first", ["k", "k"])]
+    assert not names & {"ndindex", "sum_in_order"}
+
+
+def test_tile_loop_guard_catches_a_leg_loop():
+    leg_loop = ("def _episodes(env):\n    for first in tiles:\n        for i in range(4):\n"
+                "            sx = np.where(c[..., i], sx + s[..., i], sx)\n")
+    assert episode_loops(leg_loop)[0] == [("first", ["i"])]
+    power = "def _episodes(env):\n    p = sum_in_order(t[i] for i in np.ndindex(4, 3))\n"
+    assert episode_loops(power)[1] >= {"ndindex", "sum_in_order"}
+
+
 def builtin_sum_calls(source):
     """Lines calling the builtin sum(), whose float rounding changed in Python 3.12."""
     return [node.lineno for node in ast.walk(ast.parse(source))
