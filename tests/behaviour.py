@@ -1,0 +1,89 @@
+"""Fingerprints of the rollout outputs: every robot's CSV and manifest bytes.
+
+`cases()` runs the rollouts that `tests/test_behaviour.py` pins: all
+built-in robots at (mu, omega) (1.0, 2.5) and (4.0, 5.0 Hz) for 2 s each,
+and one A1 rollout of 1,000 steps, which crosses the batch kernel's tile
+boundaries.  Each case is the SHA-256 of the rollout's CSV and of its
+manifest.  numpy is loaded first, as in any process that has imported it.
+
+The bits depend on the platform's libm, so `goldens/behaviour.json` holds
+one entry per (Python, numpy, libc) triple.  To add or refresh the entry of
+the platform it runs on:
+
+    python3 tests/behaviour.py
+
+It prints the cases that changed.  An entry is made only by a run on its
+platform, never by editing a hash.
+"""
+
+import hashlib
+import json
+import os
+import pathlib
+import platform
+import sys
+import tempfile
+
+GOLDENS = pathlib.Path(__file__).resolve().with_name("goldens") / "behaviour.json"
+
+COMMANDS = ((1.0, 2.5), (4.0, 5.0))
+DURATION_S = 2.0
+LONG_CASE = ("A1", 1.0, 2.5, 10.0)   # 1,000 steps
+
+
+def platform_key():
+    import numpy
+    return {"python": platform.python_version(), "numpy": numpy.__version__,
+            "libc": list(platform.libc_ver())}
+
+
+def _sha256(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def cases():
+    """{case name: {"csv": sha256, "manifest": sha256}} of every rollout case."""
+    import numpy   # noqa: F401 - loaded, as in any process that imported it
+    from quadcpg.controllers import open_loop_trot
+    from quadcpg.registry import builtin_registry
+    from quadcpg.rollout import run_rollout, write_record_csv, write_record_manifest
+
+    registry = builtin_registry()
+    runs = [(robot.name, mu, omega, DURATION_S) for robot in registry
+            for mu, omega in COMMANDS] + [LONG_CASE]
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path, manifest_path = os.path.join(tmp, "r.csv"), os.path.join(tmp, "r.json")
+        for name, mu, omega, duration in runs:
+            record = run_rollout(registry.get(name), open_loop_trot(mu, omega), duration)
+            write_record_csv(record, csv_path)
+            write_record_manifest(record, manifest_path)
+            out[f"{name} mu={mu} omega={omega} {duration} s"] = {
+                "csv": _sha256(csv_path), "manifest": _sha256(manifest_path)}
+    return out
+
+
+def load():
+    with open(GOLDENS) as fh:
+        return json.load(fh)
+
+
+def main():
+    key = platform_key()
+    doc = load() if GOLDENS.exists() else {"entries": []}
+    entries = [e for e in doc["entries"] if e["platform"] != key]
+    old = next((e["cases"] for e in doc["entries"] if e["platform"] == key), {})
+    new = cases()
+    changed = sorted(name for name in set(old) | set(new) if old.get(name) != new.get(name))
+    entries.append({"platform": key, "cases": new})
+    GOLDENS.parent.mkdir(exist_ok=True)
+    with open(GOLDENS, "w") as fh:
+        json.dump({"entries": entries}, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"{GOLDENS}: {len(new)} cases for {key}; changed: {changed or 'none'}")
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+    main()

@@ -1,0 +1,22 @@
+"""The committed fingerprints of every robot's rollout: `behaviour.py` says
+what the cases are and how an entry is made.  numpy is loaded, so
+`run_rollout` takes its held-command pass; the goldens came from the
+scalar env."""
+
+import pytest
+
+import behaviour
+
+
+def test_rollout_outputs_equal_the_goldens():
+    key = behaviour.platform_key()
+    golden = next((e["cases"] for e in behaviour.load()["entries"]
+                   if e["platform"] == key), None)
+    if golden is None:
+        pytest.fail(f"no behaviour goldens for {key}: run `python3 tests/behaviour.py` "
+                    f"on this platform, at a commit whose behaviour is trusted, "
+                    f"and commit the entry it adds")
+    got = behaviour.cases()
+    differ = sorted(name for name in set(golden) | set(got)
+                    if golden.get(name) != got.get(name))
+    assert not differ, f"{len(differ)} cases differ from the goldens: {differ}"
