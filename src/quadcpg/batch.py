@@ -13,8 +13,20 @@ adds.  A swing leg adds +0.0, and x + 0.0 == x unless x is -0.0, which a
 sum from +0.0 never is: in round-to-nearest a + b is -0.0 only if both are.
 Only the two recurrences -- oscillator and joint lag -- go substep by
 substep; every other stage runs once per tile of (substep, lane) pairs.
-Every episode runs its whole horizon: the kinematic world cannot fall.
-The scalar `QuadrupedEnv` stays the closed-loop path and the oracle.
+A chunk of at most FLOAT_LANES lanes runs the two on Python floats, lane by
+lane and joint by joint, which are the scalar code's own operations with no
+numpy call per substep; a wider chunk runs them on arrays.  Every episode
+runs its whole horizon: the kinematic world cannot fall.
+
+Asked for them, `_episodes` also returns per-step streams: env.time, base
+x, y, vx and vy, the step-end contacts and feet, r, r_dot and theta, the
+last substep's targets, the four reward terms and the IK clamp count.  The
+y chain is the x chain's (`_sweep`): both stance sums start from +0.0, as
+the scalar loop's do, so vx and vy carry its -0.0 wherever it has one.
+`trot_streams` gives them for one lane, and `rollout.run_rollout` builds
+from them the rows and observations of a policy that holds one trot
+command.  The scalar `QuadrupedEnv` stays the path of every other policy,
+and the oracle.
 
 Pattern formation's targets: `foot_targets` gives each leg's x and z, as
 `foot_xz` does; y is the leg's abd_offset d, so rr = dd + z*z >= dd = d*d
@@ -45,8 +57,8 @@ from typing import Iterable, List, Tuple
 
 import numpy as np
 
-from .environment import (CONTACT_TOL, N_SUBSTEPS, W_FORWARD, W_ORIENTATION, W_POWER,
-                          QuadrupedEnv, check_horizon, twin_legs)
+from .environment import (CONTACT_TOL, CONTROL_DT, N_SUBSTEPS, W_FORWARD, W_ORIENTATION,
+                          W_POWER, QuadrupedEnv, check_horizon, twin_legs)
 from .kinematics import _CLAMP_TOL, FOOT_COUPLING_RATIO, TINY_ANGLE
 from .oscillator import DT_INTEGRATION, TROT_PHASES, TWO_PI, advance, clamp_command
 from .registry import RobotDescriptor
@@ -55,6 +67,10 @@ from .registry import RobotDescriptor
 #: control steps as fit, at least one of each, so its arrays, not the number
 #: of commands or the horizon, bound the kernel's memory.
 TILE_LANE_SUBSTEPS = 800
+
+#: Chunks of at most this many lanes run the two recurrences on floats,
+#: lane by lane and joint by joint; wider ones on (lane, ...) arrays.
+FLOAT_LANES = 4
 
 
 def _math(fn, *arrays: np.ndarray) -> np.ndarray:
@@ -89,15 +105,15 @@ class _Legs:
         sagittal = [legs[i] for i in solved]
         self.links = [np.array(col) for col in zip(*(leg.link_lengths for leg in sagittal))]
         self.d = np.array([leg.abd_offset for leg in legs])
-        self.hip_x, _, self.hip_z = np.array([leg.hip_offset for leg in legs]).T
+        self.hip_x, self.hip_y, self.hip_z = np.array([leg.hip_offset for leg in legs]).T
         for name in legs[0].ik_constants:   # dd, the abduction's, on every leg
             on = legs if name == "dd" else sagittal
             setattr(self, name, np.array([getattr(leg, name) for leg in on]))
 
     def ik(self, x, z):
         """kinematics._solve over (N, 4) targets (x, d, z), d each leg's abd_offset:
-        q as (N, 4, dof).  Twin legs get the same x and z, so the sagittal chain
-        runs on `solved` only; only the 4-DoF projection reads the clamp flags."""
+        q as (N, 4, dof) and the (N, 4) clamp flags.  Twin legs get the same x
+        and z, so the sagittal chain runs on `solved` only."""
         rr = self.dd + z * z
         z_leg = -np.sqrt(rr - self.dd)
         positive = rr > 0.0
@@ -112,6 +128,7 @@ class _Legs:
         if self.dof == 3:
             l1, l2 = self.links
             rho = _math(math.hypot, x, z_leg)
+            clamped = (rho > self.hi_out) | (rho < self.lo_in)
             over = rho > self.hi
             moved = over | (rho < self.lo)
             bound = np.where(over, self.hi, self.lo)
@@ -126,7 +143,7 @@ class _Legs:
             a = l1 + l2 * np.cos(knee)
             b = l2 * np.sin(knee)
             hip = _math(math.atan2, -x, -z_leg) - _math(math.atan2, b, a)
-            return self._joints(q_abd, _wrap(hip), knee)
+            return self._joints(q_abd, _wrap(hip), knee), clamped[..., self.twin]
 
         l1, l2, l3 = self.links
         qk = self.qk0 - (x * x + z_leg * z_leg)
@@ -150,15 +167,17 @@ class _Legs:
             u[clamped] = np.where(away, u[clamped] * scale, 0.0)
             v[clamped] = np.where(away, v[clamped] * scale, reach)
         hip = _math(math.atan2, u, v) - _math(math.atan2, b, a)
-        return self._joints(q_abd, _wrap(hip), knee, FOOT_COUPLING_RATIO * knee)
+        q = self._joints(q_abd, _wrap(hip), knee, FOOT_COUPLING_RATIO * knee)
+        return q, clamped[..., self.twin]
 
     def _joints(self, q_abd, *sagittal):
         """(N, 4, dof) joints: each leg's abduction, then its twin class's sagittal joints."""
         return np.stack((q_abd, *(joint[..., self.twin] for joint in sagittal)), axis=-1)
 
-    def feet_xz(self, q):
-        """Body-frame foot x and z of fk_all_feet over (N, 4, dof) joints in
-        which twin legs hold equal sagittal joints, as they do all episode."""
+    def _planar(self, q):
+        """Each leg's planar sums (sx, cz) of `kinematics._foot_in_hip` over
+        (N, 4, dof) joints in which twin legs hold equal sagittal joints, as
+        they do all episode."""
         a1 = q[..., self.solved, 1]
         a2 = a1 + q[..., self.solved, 2]
         l1, l2 = self.links[:2]
@@ -168,9 +187,18 @@ class _Legs:
             a3 = a2 + q[..., self.solved, 3]
             sx = sx + self.links[2] * np.sin(a3)
             cz = cz + self.links[2] * np.cos(a3)
-        sx, cz = sx[..., self.twin], cz[..., self.twin]
+        return sx[..., self.twin], cz[..., self.twin]
+
+    def feet_xz(self, q):
+        """Body-frame foot x and z of fk_all_feet over (N, 4, dof) joints."""
+        sx, cz = self._planar(q)
         z = self.d * np.sin(q[..., 0]) + -cz * np.cos(q[..., 0])
         return -sx + self.hip_x, z + self.hip_z
+
+    def feet_y(self, q):
+        """Body-frame foot y of fk_all_feet over (N, 4, dof) joints."""
+        _, cz = self._planar(q)
+        return self.d * np.cos(q[..., 0]) - -cz * np.sin(q[..., 0]) + self.hip_y
 
 
 def foot_targets(robot: RobotDescriptor, r, theta):
@@ -195,17 +223,74 @@ def evaluate_batch(robot: RobotDescriptor, commands: Iterable[Tuple[float, float
     returns: List[float] = []
     lanes = iter(commands)
     while chunk := list(islice(lanes, max(1, TILE_LANE_SUBSTEPS // N_SUBSTEPS))):
-        returns += _episodes(env, legs, chunk, horizon)
+        returns += _episodes(env, legs, chunk, horizon)[0]
     return returns
 
 
-def _episodes(env: QuadrupedEnv, legs: _Legs, commands, horizon: int) -> List[float]:
-    """The returns of one chunk of episodes, from the state `env` was reset to.
+def trot_streams(robot: RobotDescriptor, mu: float, omega: float, horizon: int) -> dict:
+    """The per-step streams of `_episodes` for one trot from rest that holds
+    (mu, omega) for `horizon` control steps, each as a (horizon, 1, ...) array."""
+    env = QuadrupedEnv(robot)
+    env.reset(initial_phases=TROT_PHASES)
+    return _episodes(env, _Legs(robot), [(mu, omega)], horizon, streams=True)[1]
+
+
+def _oscillate(r, r_dot, mu, theta_dot, theta, t: int):
+    """t substeps of `advance` on floats, lane by lane: r, r_dot (t, N) and
+    theta (t, N, 4) after each."""
+    lanes = []
+    for state, m, w in zip(np.column_stack((r, r_dot, theta)).tolist(), mu.tolist(),
+                           theta_dot.ravel().tolist()):
+        path = []
+        for _ in range(t):
+            r0, rd0, a, b, c, d = state
+            state = advance(r0, rd0, m, w, a, b, c, d)
+            path.append(state)
+        lanes.append(path)
+    states = np.array(lanes).swapaxes(0, 1)
+    return states[..., 0], states[..., 1], states[..., 2:]
+
+
+def _lag(q, des, lag: float):
+    """The joint lag over a tile on floats, joint by joint: the positions
+    after each substep, shaped as `des`, from positions q."""
+    t = len(des)
+    cols = []
+    for qj, col in zip(q.ravel().tolist(), des.reshape(t, -1).T.tolist()):
+        path = []
+        for d in col:
+            qj = qj + (d - qj) * lag
+            path.append(qj)
+        cols.append(path)
+    return np.array(cols).T.reshape(des.shape)
+
+
+def _sweep(f, f_prev, contact, v, b):
+    """One planar base coordinate over a tile, from its feet's coordinate f
+    (t, N, 4) and their contacts: its velocity and position after each
+    substep, from velocity v and position b, as `KinematicBackend.advance`
+    sums them.  With no stance foot the velocity is held: the latest stance
+    substep's, else v."""
+    step = f - np.concatenate((f_prev[None], f[:-1]))
+    s = _sum(0.0, np.moveaxis(np.where(contact, step, 0.0), -1, 0))
+    n_stance = np.count_nonzero(contact, axis=-1)
+    vs = -s / (np.maximum(n_stance, 1) * DT_INTEGRATION)
+    latest = np.maximum.accumulate(np.where(n_stance > 0, np.arange(len(f))[:, None], -1))
+    vs = np.where(latest >= 0, np.take_along_axis(vs, np.maximum(latest, 0), axis=0), v)
+    return vs, np.add.accumulate(np.concatenate((b[None], vs * DT_INTEGRATION)))   # in order
+
+
+def _episodes(env: QuadrupedEnv, legs: _Legs, commands, horizon: int, streams=False):
+    """The returns of one chunk of episodes, from the state `env` was reset
+    to, and with `streams` the per-step streams (else None).
 
     Each tile of whole control steps runs the two recurrences (oscillator,
     joint lag) substep by substep, then every later stage in one pass over
     the tile's (substep, lane, leg[, joint]) arrays.  The base holds its start
-    height and flat attitude.
+    height and flat attitude.  The streams are arrays of (step, lane, ...):
+    env.time, base x, y, vx and vy, the step-end contacts and body-frame feet
+    (x, y, z), each leg's r, r_dot and theta, the last substep's target x and
+    z, the four reward terms and each step's IK clamp count.
     """
     cmds = [clamp_command((mu,) * 4 + (omega,) * 4) for mu, omega in commands]
     n = len(cmds)
@@ -218,9 +303,11 @@ def _episodes(env: QuadrupedEnv, legs: _Legs, commands, horizon: int) -> List[fl
     q = np.array([backend.joint_positions] * n, dtype=float)
     qd = np.zeros_like(q)   # the joint velocities the reward last saw
     fx_prev, _ = legs.feet_xz(q)
-    bx, _, bz = backend.base_pos
-    bx = np.full(n, bx)
-    vx = np.full(n, backend.base_lin_vel[0])
+    fy_prev = legs.feet_y(q) if streams else None
+    bx, by, bz = backend.base_pos
+    bx, by = np.full(n, bx), np.full(n, by)
+    vx, vy, _ = (np.full(n, v) for v in backend.base_lin_vel)
+    tiles = []   # with streams, each tile's
 
     # the backend's and env's own constants
     dt, lag = DT_INTEGRATION, backend.lag_factor
@@ -231,30 +318,30 @@ def _episodes(env: QuadrupedEnv, legs: _Legs, commands, horizon: int) -> List[fl
     for first in range(0, horizon, per_tile):
         n_steps = min(per_tile, horizon - first)
         t = n_steps * N_SUBSTEPS
-        rs, thetas = np.empty((t, n)), np.empty((t, n, 4))
-        for k in range(t):
-            r, r_dot, theta = advance(r, r_dot, mu, theta_dot, theta)
-            rs[k], thetas[k] = r, theta
-        des = legs.ik(*foot_targets(robot, rs, thetas))
-        e, qs = np.empty_like(des), np.empty_like(des)
-        for k in range(t):
-            e[k] = des[k] - q
-            q = qs[k] = q + e[k] * lag
+        if n <= FLOAT_LANES:
+            rs, rds, thetas = _oscillate(r, r_dot, mu, theta_dot, theta, t)
+        else:
+            rs, rds, thetas = np.empty((t, n)), np.empty((t, n)), np.empty((t, n, 4))
+            for k in range(t):
+                r, r_dot, theta = advance(r, r_dot, mu, theta_dot, theta)
+                rs[k], rds[k], thetas[k] = r, r_dot, theta
+        r, r_dot, theta = rs[-1], rds[-1], thetas[-1]
+        tx, tz = foot_targets(robot, rs, thetas)
+        des, clamped = legs.ik(tx, tz)
+        if n <= FLOAT_LANES:
+            qs = _lag(q, des, lag)
+            e = des - np.concatenate((q[None], qs[:-1]))
+        else:
+            e, qs = np.empty_like(des), np.empty_like(des)
+            for k in range(t):
+                e[k] = des[k] - q
+                q = qs[k] = q + e[k] * lag
+        q = qs[-1]
 
         fx, fz = legs.feet_xz(qs)
         contact = bz + fz <= CONTACT_TOL
-        step_x = fx - np.concatenate((fx_prev[None], fx[:-1]))
-        fx_prev = fx[-1]
-        sx = _sum(0.0, np.moveaxis(np.where(contact, step_x, 0.0), -1, 0))
-        n_stance = np.count_nonzero(contact, axis=-1)
-        v = -sx / (np.maximum(n_stance, 1) * dt)
-        # with no stance foot vx is held: the latest stance substep's, else the carried
-        latest = np.maximum.accumulate(np.where(n_stance > 0, np.arange(t)[:, None], -1))
-        held = np.take_along_axis(v, np.maximum(latest, 0), axis=0)
-        vxs = np.where(latest >= 0, held, vx)
-        vx = vxs[-1]
-        xs = np.add.accumulate(np.concatenate((bx[None], vxs * dt)))   # in order
-        bx = xs[-1]
+        vxs, xs = _sweep(fx, fx_prev, contact, vx, bx)
+        fx_prev, vx, bx = fx[-1], vxs[-1], xs[-1]
 
         forward = W_FORWARD * np.minimum(xs[N_SUBSTEPS::N_SUBSTEPS] - xs[:-1:N_SUBSTEPS],
                                          env.d_max)
@@ -266,7 +353,26 @@ def _episodes(env: QuadrupedEnv, legs: _Legs, commands, horizon: int) -> List[fl
         qd_prev = np.concatenate((qd[None], qd_end[:-1]))
         qd = qd_end[-1]
         work = (trq * (qd_end - qd_prev)).reshape(n_steps, n, -1)   # leg-major
-        power = _sum(0.0, np.moveaxis(work, -1, 0))
-        reward = forward + orientation + W_POWER * np.abs(power)
+        power = W_POWER * np.abs(_sum(0.0, np.moveaxis(work, -1, 0)))
+        reward = forward + orientation + power
         total = _sum(total, reward)
-    return total.tolist()
+        if streams:
+            fy = legs.feet_y(qs)
+            vys, ys = _sweep(fy, fy_prev, contact, vy, by)
+            fy_prev, vy, by = fy[-1], vys[-1], ys[-1]
+            at = np.arange(N_SUBSTEPS - 1, t, N_SUBSTEPS)   # step ends: copies, not views
+            tiles.append({"x": xs[at + 1], "y": ys[at + 1], "vx": vxs[at], "vy": vys[at],
+                          "contact": contact[at],
+                          "feet": np.stack((fx[at], fy[at], fz[at]), -1).reshape(-1, n, 12),
+                          "r": rs[at], "r_dot": rds[at], "theta": thetas[at],
+                          "target_x": tx[at], "target_z": tz[at], "forward": forward,
+                          "orientation": np.full_like(forward, orientation),
+                          "power": power, "total": reward,
+                          "clamps": np.count_nonzero(
+                              clamped.reshape(n_steps, N_SUBSTEPS, n, 4), axis=(1, 3))})
+    if not streams:
+        return total.tolist(), None
+    out = {name: np.concatenate([tile[name] for tile in tiles]) for name in tiles[0]}
+    # env.time: CONTROL_DT added once per step, in order from 0.0
+    out["time"] = np.add.accumulate(np.full((horizon, n), CONTROL_DT))
+    return total.tolist(), out

@@ -83,10 +83,11 @@ class LegGeometry:
     Construction also sets the analytical IK's per-leg constants, which
     `_solve` reads, and names in `ik_constants` those `batch._Legs` stacks:
     `dd`, the squared abduction offset, and `elbow_down`; on 3-DoF legs the
-    reach bounds `lo`/`hi` and the law-of-cosines terms `l1l1`, `l2l2`,
-    `two_l1l2`; on 4-DoF legs the knee quadratic's `qb`, `qk0`, `qbqb`,
-    `four_qa`, `two_qa` and the discriminant's clamp bound `disc_in`.  The
-    clamp bounds `dd_in`, `lo_in` and `hi_out` only `_solve` reads.
+    reach bounds `lo`/`hi`, their clamp bounds `lo_in`/`hi_out` and the
+    law-of-cosines terms `l1l1`, `l2l2`, `two_l1l2`; on 4-DoF legs the knee
+    quadratic's `qb`, `qk0`, `qbqb`, `four_qa`, `two_qa` and the
+    discriminant's clamp bound `disc_in`.  The abduction's clamp bound
+    `dd_in` only `_solve` reads.
     """
 
     hip_offset: Tuple[float, float, float]  # body frame -> hip joint, m
@@ -112,11 +113,12 @@ class LegGeometry:
         l1, l2 = links[:2]
         dd = d * d
         consts = {"dd": dd, "elbow_down": self.knee_config == ELBOW_DOWN}
-        bounds = {"dd_in": dd * (1.0 - _CLAMP_TOL)}   # clamp bounds only `_solve` reads
+        bounds = {"dd_in": dd * (1.0 - _CLAMP_TOL)}   # the clamp bound only `_solve` reads
         if len(links) == 2:
             lo, hi = abs(l1 - l2), l1 + l2
-            consts.update(lo=lo, hi=hi, l1l1=l1 * l1, l2l2=l2 * l2, two_l1l2=2.0 * l1 * l2)
-            bounds.update(lo_in=lo * (1.0 - _CLAMP_TOL), hi_out=hi * (1.0 + _CLAMP_TOL))
+            consts.update(lo=lo, hi=hi, lo_in=lo * (1.0 - _CLAMP_TOL),
+                          hi_out=hi * (1.0 + _CLAMP_TOL), l1l1=l1 * l1, l2l2=l2 * l2,
+                          two_l1l2=2.0 * l1 * l2)
         else:
             l3 = links[2]
             qa, qb = 4.0 * l1 * l2, 2.0 * (l1 + l2) * l3

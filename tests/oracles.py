@@ -1,8 +1,9 @@
 """Test-side oracles that share no work between legs, and the robots the
 fast paths are checked on.
 
-`substep_loop_step` is `QuadrupedEnv.step` as the per-substep loop it once
-was: every substep steps all four oscillators, solves all four IKs and
+`env_rollout` is `run_rollout` as the plain `QuadrupedEnv.step` loop it
+once was: the oracle of its held-command pass.  `substep_loop_step` is
+`QuadrupedEnv.step` as the per-substep loop it once was: every substep steps all four oscillators, solves all four IKs and
 advances the backend by `substep_advance`, which runs every leg's joint lag
 and FK.  No leg takes another's result, so it is the oracle both of the
 env's twin path and of the batch kernel's.  `drawn_robots` draws robots
@@ -19,10 +20,35 @@ from quadcpg.environment import (CONTACT_TOL, CONTROL_DT, N_SUBSTEPS, QuadrupedE
                                  build_observation, compute_reward)
 from quadcpg.foot_trajectory import foot_target
 from quadcpg.kinematics import ELBOW_DOWN, ELBOW_UP, LegGeometry, _solve, fk_all_feet
-from quadcpg.oscillator import DT_INTEGRATION, TROT_PHASES, clamp_command, step_oscillator
+from quadcpg.oscillator import (ALPHA, DT_INTEGRATION, TROT_PHASES, clamp_command,
+                                step_oscillator)
 from quadcpg.registry import RegistryError, builtin_registry
+from quadcpg.rollout import RolloutRecord, _control_periods, record_columns
 
 REG = builtin_registry()
+
+
+def env_rollout(robot, policy, duration, seed=0):
+    """run_rollout as one `env.step` per step, on the policy's own action."""
+    env = QuadrupedEnv(robot)
+    phases = getattr(policy, "initial_phases", TROT_PHASES)
+    obs = env.reset(seed=seed, initial_phases=phases)
+    rows, violations = [], 0
+    record = RolloutRecord(seed=seed, columns=record_columns(), rows=rows, config={
+        "robot": robot.name, "duration": duration, "control_dt": CONTROL_DT,
+        "alpha": ALPHA, "dt_integration": DT_INTEGRATION, "initial_phases": list(phases)})
+    for _ in range(_control_periods(duration)):
+        obs, _, _, info = env.step(policy(obs))
+        violations += info["workspace_violations"]
+        backend, cpg, cmd = env.backend, env.cpg_states, info["command"]
+        row = [env.time, *backend.base_pos, *backend.base_rpy, *backend.base_lin_vel]
+        row += [s.r for s in cpg] + [s.theta for s in cpg] + list(cmd.mu + cmd.omega)
+        for target in info["foot_targets"]:
+            row += target
+        row += [1.0 if c else 0.0 for c in backend.foot_contacts] + list(info["terms"])
+        rows.append(row)
+    record.workspace_violations = violations
+    return record
 
 
 def substep_advance(backend, q_des):

@@ -9,7 +9,7 @@ import yaml
 
 from quadcpg.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from quadcpg.plotting import RecordFormatError, render_rollout_svg
-from quadcpg.rollout import record_columns, write_csv
+from quadcpg.rollout import MAX_DURATION, record_columns, write_csv
 
 
 def run(capsys, argv):
@@ -89,6 +89,19 @@ class TestTraj:
             "traj", "--robot", "A1", "--duration", duration, "--out", str(out_path)])
         assert code == EXIT_CONFIG
         assert "duration" in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("command", ["traj", "rollout"])
+    @pytest.mark.parametrize("duration", [1e307, math.nextafter(MAX_DURATION, math.inf)])
+    def test_duration_above_the_maximum_exit_config(self, capsys, tmp_path, command,
+                                                    duration):
+        """Rejected by name before any step runs: 1e307 once overflowed the
+        step count (exit 1), and a finite duration had no bound."""
+        out_path = tmp_path / "x.csv"
+        code, _, err = run(capsys, [
+            command, "--robot", "A1", "--duration", repr(duration), "--out", str(out_path)])
+        assert code == EXIT_CONFIG
+        assert err == f"error: duration must be at most 1000.0 s, got {duration!r}\n"
         assert not out_path.exists()
 
     def test_out_of_limit_command_exit_config(self, capsys, tmp_path):

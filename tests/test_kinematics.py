@@ -181,9 +181,10 @@ class TestIk4Dof:
         assert -1.0 - _CLAMP_TOL < c < -1.0
         q, clamped = _solve(geom, x, y, z)
         assert not clamped
-        kernel = _Legs(SimpleNamespace(legs=[geom] * 4)).ik(
+        kernel, flags = _Legs(SimpleNamespace(legs=[geom] * 4)).ik(
             *(np.full((1, 4), v) for v in (x, z)))
         assert [tuple(leg) for leg in kernel[0].tolist()] == [q] * 4
+        assert flags.tolist() == [[clamped] * 4]
 
 
 class TestWorkspaceProperties:
@@ -596,7 +597,8 @@ class TestClampTolerance:
             assert clamped
         x, y, z = target
         pf_z = -math.sqrt(max(y * y + z * z, geom.dd) - geom.dd)
-        q, _ = _solve(geom, x, geom.abd_offset, pf_z)
-        kernel = _Legs(SimpleNamespace(legs=[geom] * 4)).ik(
+        q, clamped = _solve(geom, x, geom.abd_offset, pf_z)
+        kernel, flags = _Legs(SimpleNamespace(legs=[geom] * 4)).ik(
             *(np.full((1, 4), v) for v in (x, pf_z)))
         assert [tuple(leg) for leg in kernel[0].tolist()] == [q] * 4
+        assert flags.tolist() == [[clamped] * 4]
