@@ -6,7 +6,7 @@ locomotion MDP over a deterministic kinematic world model.
 """
 
 from .environment import (ACTION_SIZE, OBSERVATION_SIZE, KinematicBackend,
-                          Observation, QuadrupedEnv, RewardTerms,
+                          NonFiniteStateError, Observation, QuadrupedEnv, RewardTerms,
                           build_observation, compute_reward)
 from .foot_trajectory import FootTarget, PfParams, foot_target
 from .kinematics import LegGeometry, OutOfWorkspaceError, fk_all_feet, fk_leg, ik_leg
@@ -26,7 +26,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ACTION_SIZE", "OBSERVATION_SIZE", "CpgCommand", "CpgConfig",
     "ConstantCommandPolicy", "FootTarget", "InvalidCommandError",
-    "KinematicBackend", "LegGeometry", "Observation", "OscillatorState",
+    "KinematicBackend", "LegGeometry", "NonFiniteStateError", "Observation",
+    "OscillatorState",
     "OutOfWorkspaceError", "PfParams", "QuadrupedEnv", "Registry", "RegistryError",
     "RewardTerms", "RobotDescriptor", "RolloutRecord", "SearchResult",
     "TROT_PHASES", "UnknownRobotError", "build_observation", "builtin_registry",

@@ -302,6 +302,26 @@ def build_observation(robot: RobotDescriptor, backend, cpg_states,
     )
 
 
+class NonFiniteStateError(ValueError):
+    """Raised by `QuadrupedEnv.step` when its reward is not finite: the
+    backend state, written between steps, is one the world cannot step from."""
+
+
+def _non_finite(backend, terms: RewardTerms) -> str:
+    """The first non-finite value of the backend's state fields, else the
+    first non-finite reward term: finite joints can still overflow the power."""
+    for name in ("joint_positions", "joint_velocities", "joint_torques", "base_pos",
+                 "base_rpy", "base_lin_vel", "base_ang_vel"):
+        value = getattr(backend, name)
+        cells = ([(f"[{i}][{j}]", v) for i, leg in enumerate(value) for j, v in enumerate(leg)]
+                 if name.startswith("joint") else [(f"[{i}]", v) for i, v in enumerate(value)])
+        for at, v in cells:
+            if not math.isfinite(v):
+                return f"backend.{name}{at} is {v!r}"
+    return next(f"its {name} is {value!r}, from finite backend state"
+                for name, value in zip(terms._fields, terms) if not math.isfinite(value))
+
+
 class QuadrupedEnv:
     """One robot's episodes over a KinematicBackend that cannot fall: no step ends one."""
 
@@ -333,7 +353,10 @@ class QuadrupedEnv:
     def step(self, action: Sequence[float]):
         """Apply one 100 Hz command; returns (obs, reward, done, info), with
         info's keys terms, command, foot_targets and workspace_violations; done
-        is always False, as in an infinite-horizon task: the world cannot fall."""
+        is always False, as in an infinite-horizon task: the world cannot fall.
+        A reward that is not finite raises NonFiniteStateError, which names
+        the first non-finite backend field; a write to the backend's state
+        between steps is the one known cause."""
         if self._cpg is None:
             raise RuntimeError("environment must be reset before stepping")
         cmd = clamp_command(action)
@@ -393,6 +416,9 @@ class QuadrupedEnv:
         tau = [t for leg in backend.joint_torques for t in leg]
         terms = compute_reward(f_x, self.d_max, backend.base_rpy, tau, qdot,
                                self._prev_qdot)
+        if not math.isfinite(terms.total):
+            raise NonFiniteStateError(f"step reward {terms.total!r} is not finite: "
+                                      f"{_non_finite(backend, terms)}")
         self._prev_qdot = qdot
         self._prev_action = mu + omega
         self.time += CONTROL_DT

@@ -88,9 +88,10 @@ def advance(r, r_dot, mu, theta_dot, *thetas):
     theta_dot rad/s (exact for a constant command) and is wrapped to
     [0, 2*pi).  Limbs with one amplitude command and one start share r,
     so one call advances them all.  Works alike on floats and numpy arrays.
-    The phase line, (theta + theta_dot * DT_INTEGRATION) % TWO_PI, is shared
-    with `rollout.run_open_loop_trajectory`, which runs it alone once the
-    amplitude has settled (`amplitude_settled`): change both or neither.
+    The phase line, (theta + theta_dot * DT_INTEGRATION) % TWO_PI, has two
+    more users, which run it alone: `rollout.run_open_loop_trajectory` once
+    the amplitude has settled (`amplitude_settled`), and `batch._oscillate`
+    on each distinct start phase.  Change all three or none.
     """
     gain, dt = AMPLITUDE_GAIN, DT_INTEGRATION
     k1_rd = gain * (mu - r) - ALPHA * r_dot

@@ -136,6 +136,13 @@ def run_rollout(robot: RobotDescriptor, policy, duration: float,
     returns another command, the env, which ran step 0, replays the held
     command up to that step and runs the episode on from there.  The
     result is the env's, bit for bit, either way.
+
+    While the pass holds a command, a step whose raw action `is` an object
+    that clamped to it skips the clamp: that object is an exact tuple of
+    exact floats, immutable, so it clamps to the same bits every time.  Any
+    other raw action (a new tuple, a list, a namedtuple, a tuple holding an
+    int or a numpy value) is clamped at every step, as is every action
+    before a command is held.
     """
     n_steps = _control_periods(duration)
     env = QuadrupedEnv(robot)
@@ -148,14 +155,23 @@ def run_rollout(robot: RobotDescriptor, policy, duration: float,
     rows: List[List[float]] = []
     violations = 0
     held = None   # the bits of the command the pass holds, while the policy holds it
+    held_raw = None   # an immutable raw action that clamped to those bits
     for k in range(n_steps):
-        cmd = clamp_command(policy(obs))
+        raw = policy(obs)
+        if held is not None and raw is held_raw:
+            row, obs, clamps = next(steps)
+            rows.append(row)
+            violations += clamps
+            continue
+        cmd = clamp_command(raw)
         action = cmd.mu + cmd.omega
         bits = _bits(action)
         if k == 1 and trot and bits == first == _bits(cmd.mu[:1] * 4 + cmd.omega[:1] * 4):
             held, held_action, steps = bits, action, _held_steps(robot, cmd, n_steps)
         if held is not None:
             if bits == held:
+                if type(raw) is tuple and all(type(v) is float for v in raw):
+                    held_raw = raw
                 row, obs, clamps = next(steps)
                 rows.append(row)
                 violations += clamps

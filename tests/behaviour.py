@@ -1,10 +1,21 @@
 """Fingerprints of the rollout outputs: every robot's CSV and manifest bytes.
 
-`cases()` runs the rollouts that `tests/test_behaviour.py` pins: all
-built-in robots at (mu, omega) (1.0, 2.5) and (4.0, 5.0 Hz) for 2 s each,
-and one A1 rollout of 1,000 steps, which crosses the batch kernel's tile
-boundaries.  Each case is the SHA-256 of the rollout's CSV and of its
-manifest.  numpy is loaded first, as in any process that has imported it.
+`cases()` runs the cases that `tests/test_behaviour.py` pins:
+
+- all built-in robots at (mu, omega) (1.0, 2.5) and (4.0, 5.0 Hz) for 2 s
+  each;
+- 10 s rollouts of A1, Dog3 and Little Dog at (1.0, 2.5) and of A1 at
+  (0.5, 0.0), which cross the batch kernel's tile boundaries and the
+  amplitude's settle point (2,154 to 2,184 substeps from rest); at
+  omega 0 the phases never move;
+- `evaluate_batch` of the first 1, 3, 4 and 5 of `BATCH_COMMANDS` (the
+  float recurrences take up to `batch.FLOAT_LANES` lanes, the array ones
+  more) at horizons 1, 81 and 300 on A1, Dog3 and Little Dog: lanes that
+  settle at different substeps, omega 0, and mu at both ends of the box.
+
+A rollout case is the SHA-256 of its CSV and of its manifest, an
+`evaluate_batch` case that of the reprs of its returns.  numpy is loaded
+first, as in any process that has imported it.
 
 The bits depend on the platform's libm, so `goldens/behaviour.json` holds
 one entry per (Python, numpy, libc) triple.  To add or refresh the entry of
@@ -28,7 +39,12 @@ GOLDENS = pathlib.Path(__file__).resolve().with_name("goldens") / "behaviour.jso
 
 COMMANDS = ((1.0, 2.5), (4.0, 5.0))
 DURATION_S = 2.0
-LONG_CASE = ("A1", 1.0, 2.5, 10.0)   # 1,000 steps
+LONG_CASES = (("A1", 1.0, 2.5, 10.0), ("Dog3", 1.0, 2.5, 10.0),
+              ("Little Dog", 1.0, 2.5, 10.0), ("A1", 0.5, 0.0, 10.0))   # 1,000 steps each
+BATCH_ROBOTS = ("A1", "Dog3", "Little Dog")
+BATCH_COMMANDS = ((1.0, 2.5), (0.5, 0.0), (4.0, 5.0), (2.7, 1.3), (3.3, 0.7))
+BATCH_LANES = (1, 3, 4, 5)
+BATCH_HORIZONS = (1, 81, 300)
 
 
 def platform_key():
@@ -43,15 +59,17 @@ def _sha256(path):
 
 
 def cases():
-    """{case name: {"csv": sha256, "manifest": sha256}} of every rollout case."""
+    """{case name: {"csv": sha256, "manifest": sha256}} of every rollout case
+    and {case name: {"returns": sha256}} of every `evaluate_batch` case."""
     import numpy   # noqa: F401 - loaded, as in any process that imported it
+    from quadcpg.batch import evaluate_batch
     from quadcpg.controllers import open_loop_trot
     from quadcpg.registry import builtin_registry
     from quadcpg.rollout import run_rollout, write_record_csv, write_record_manifest
 
     registry = builtin_registry()
     runs = [(robot.name, mu, omega, DURATION_S) for robot in registry
-            for mu, omega in COMMANDS] + [LONG_CASE]
+            for mu, omega in COMMANDS] + list(LONG_CASES)
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         csv_path, manifest_path = os.path.join(tmp, "r.csv"), os.path.join(tmp, "r.json")
@@ -61,6 +79,13 @@ def cases():
             write_record_manifest(record, manifest_path)
             out[f"{name} mu={mu} omega={omega} {duration} s"] = {
                 "csv": _sha256(csv_path), "manifest": _sha256(manifest_path)}
+    for name in BATCH_ROBOTS:
+        for lanes in BATCH_LANES:
+            for horizon in BATCH_HORIZONS:
+                returns = evaluate_batch(registry.get(name), BATCH_COMMANDS[:lanes], horizon)
+                blob = repr(returns).encode()
+                out[f"evaluate_batch {name} lanes={lanes} horizon={horizon}"] = {
+                    "returns": hashlib.sha256(blob).hexdigest()}
     return out
 
 

@@ -306,3 +306,86 @@ def test_twin_sharing_equals_scalar(robot, commands, horizon):
     # the oracle shares no work between legs: env.step shares as the kernel does
     assert evaluate_batch(robot, commands, horizon) == [
         substep_return(robot, mu, omega, horizon) for mu, omega in commands]
+
+
+def array_oscillator(r, r_dot, mu, theta_dot, theta, t):
+    """t substeps of `advance` on (lane, ...) arrays, as `_episodes` runs a
+    wide chunk: r, r_dot (t, N) and theta (t, N, 4) after each."""
+    rs, rds, thetas = np.empty((t, len(r))), np.empty((t, len(r))), np.empty((t, *theta.shape))
+    for k in range(t):
+        r, r_dot, theta = batch.advance(r, r_dot, mu, theta_dot, theta)
+        rs[k], rds[k], thetas[k] = r, r_dot, theta
+    return rs, rds, thetas
+
+
+def same_bits(got, want):
+    return [a.tobytes() for a in got] == [np.ascontiguousarray(a).tobytes() for a in want]
+
+
+#: Lanes that settle at different substeps from rest (2,184, 2,184, 2,159
+#: and 2,167), at both ends of the command box, and one whose phases never move.
+SETTLING = [(MU_MIN, 0.0), (MU_MAX, 5.0), (1.1, 2.5), (2.7, 1.3)]
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 3, 4])
+@pytest.mark.parametrize("tiles", [(3200,), (2160, 640, 400)], ids=["one", "three"])
+def test_float_oscillator_equals_the_array_recurrence(lanes, tiles):
+    """Bit for bit over 3,200 substeps from rest, past every lane's settle
+    point, whether or not a tile boundary falls before it."""
+    cmds = SETTLING[-lanes:]
+    mu = np.array([m for m, _ in cmds])
+    theta_dot = TWO_PI * np.array([w for _, w in cmds])[:, None]
+    start = (np.zeros(lanes), np.zeros(lanes), np.array([TROT_PHASES] * lanes))
+    want = array_oscillator(*start[:2], mu, theta_dot, start[2], sum(tiles))
+    got, state = [], start
+    for t in tiles:
+        got.append(batch._oscillate(state[0], state[1], mu, theta_dot, state[2], t))
+        state = [a[-1] for a in got[-1]]
+    assert same_bits([np.concatenate(parts) for parts in zip(*got)], want)
+
+
+@pytest.mark.parametrize("omega", [0.0, -0.0, 2.5])
+def test_float_oscillator_keeps_each_start_phase(omega):
+    """Legs that start apart stay apart, whatever their phases' signs of zero."""
+    mu, theta_dot = np.array([2.0, 2.0]), np.array([[TWO_PI * omega]] * 2)
+    theta = np.array([[0.0, -0.0, 1.0, TWO_PI - 1e-12], [3.0, 3.0, -0.0, 0.0]])
+    r, r_dot = np.array([2.0, 0.5]), np.array([1e-14, -3.0])
+    want = array_oscillator(r, r_dot, mu, theta_dot, theta, 50)
+    assert same_bits(batch._oscillate(r, r_dot, mu, theta_dot, theta, 50), want)
+
+
+def all_joint_lag(q, des, lag):
+    """The joint lag of every leg and joint on arrays, as a wide chunk runs it."""
+    out = np.empty_like(des)
+    for k in range(len(des)):
+        q = out[k] = q + (des[k] - q) * lag
+    return out
+
+
+def assert_twin_lag_equals_all_joints(robot, commands, t=3 * N_SUBSTEPS):
+    env = QuadrupedEnv(robot)
+    env.reset(initial_phases=TROT_PHASES)
+    legs, n = batch._Legs(robot), len(commands)
+    mu = np.array([c[0] for c in commands])
+    theta_dot = TWO_PI * np.array([c[1] for c in commands])[:, None]
+    rs, _, thetas = batch._oscillate(np.zeros(n), np.zeros(n), mu, theta_dot,
+                                     np.array([TROT_PHASES] * n), t)
+    des, _ = legs.ik(*batch.foot_targets(robot, rs, thetas))
+    q = np.array([env.backend.joint_positions] * n, dtype=float)
+    lag = env.backend.lag_factor
+    assert same_bits([batch._lag(legs, q, des, lag)], [all_joint_lag(q, des, lag)])
+
+
+@pytest.mark.parametrize("robot", list(REG), ids=REG.names())
+def test_twin_class_lag_equals_every_joint(robot):
+    assert_twin_lag_equals_all_joints(robot, [(1.0, 2.5), (4.0, 5.0)])
+
+
+@settings(max_examples=20, deadline=None)
+@given(robot=drawn_robots(), commands=st.lists(COMMANDS, min_size=1, max_size=4))
+# FL and RR twins but not FR and RL: the one twin class that is not a prefix
+@example(robot=nudged(REG.get("A1"), knee_config=ELBOW_DOWN), commands=[(1.0, 2.5)])
+def test_twin_class_lag_equals_every_joint_on_drawn_robots(robot, commands):
+    commands = [(min(max(m, MU_MIN), MU_MAX), min(max(w, OMEGA_MIN_HZ), OMEGA_MAX_HZ))
+                for m, w in commands]
+    assert_twin_lag_equals_all_joints(robot, commands)

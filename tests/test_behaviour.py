@@ -1,7 +1,9 @@
-"""The committed fingerprints of every robot's rollout: `behaviour.py` says
-what the cases are and how an entry is made.  numpy is loaded, so
-`run_rollout` takes its held-command pass; the goldens came from the
-scalar env."""
+"""The committed fingerprints of every robot's rollout and of
+`evaluate_batch`: `behaviour.py` says what the cases are and how an entry is
+made.  numpy is loaded, so `run_rollout` takes its held-command pass; the
+rollout goldens came from the scalar env, and the `evaluate_batch` ones
+from a kernel that integrated every amplitude and joint, whose returns were
+checked equal to `evaluate_constant_command`'s."""
 
 import pytest
 

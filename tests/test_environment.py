@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from oracles import backend_state, drawn_robots, substep_advance, substep_loop_step
 from quadcpg import environment
-from quadcpg.environment import (ACTION_SIZE, N_SUBSTEPS, OBSERVATION_SIZE, QuadrupedEnv,
-                                 build_observation, compute_reward)
+from quadcpg.environment import (ACTION_SIZE, N_SUBSTEPS, OBSERVATION_SIZE,
+                                 NonFiniteStateError, QuadrupedEnv, build_observation,
+                                 compute_reward)
 from quadcpg.foot_trajectory import FootTarget
 from quadcpg.kinematics import _solve, fk_all_feet
 from quadcpg.oscillator import TROT_PHASES, InvalidCommandError
@@ -163,6 +164,56 @@ class TestStep:
                 assert not obs.foot_contacts[i]
             elif s < -0.2:
                 assert obs.foot_contacts[i]
+
+
+def write_joint_position(backend, value):
+    backend.joint_positions[0][1] = value
+
+
+def write_joint_velocity(backend, value):
+    backend.joint_velocities[0][1] = value
+
+
+def write_base(axis):
+    def write(backend, value):
+        pos = list(backend.base_pos)
+        pos[axis] = value
+        backend.base_pos = tuple(pos)
+    return write
+
+
+def stepped_after_write(write, value):
+    """A1 trot: three steps, one write to the backend's state, a fourth step."""
+    env = make_env()
+    env.reset()
+    for _ in range(3):
+        env.step(TROT_ACTION)
+    write(env.backend, value)
+    return env.step(TROT_ACTION)
+
+
+class TestBackendStateContract:
+    """A step whose reward is not finite raises NonFiniteStateError, which
+    names the first non-finite backend field; finite writes still step."""
+
+    @pytest.mark.parametrize("value, reward, names", [
+        # finite joints whose torque times joint-velocity change overflows
+        (1e200, "-inf", "its power_penalty is -inf, from finite backend state"),
+        (1e308, "nan", "backend.joint_velocities[0][1] is -inf"),
+        (math.nan, "nan", "backend.joint_positions[0][1] is nan")])
+    def test_a_joint_position_write_that_breaks_the_reward_raises(self, value, reward, names):
+        with pytest.raises(NonFiniteStateError) as raised:
+            stepped_after_write(write_joint_position, value)
+        assert str(raised.value) == f"step reward {reward} is not finite: {names}"
+        assert isinstance(raised.value, ValueError)
+
+    @pytest.mark.parametrize("write, value", [
+        (write_joint_velocity, 1e300), (write_base(0), 1e308), (write_base(2), -1e308)],
+        ids=["joint velocity", "base x", "base z"])
+    def test_finite_writes_still_step(self, write, value):
+        obs, reward, _, info = stepped_after_write(write, value)
+        assert math.isfinite(reward) and reward == info["terms"].total
+        assert all(map(math.isfinite, obs.to_array()))
 
 
 class TestStepEqualsSubstepLoop:

@@ -6,6 +6,7 @@ observation handed to the policy must be its own, bit for bit (repr tells
 replay when the policy changes its command, or the scalar env alone.
 """
 
+import collections
 import json
 import math
 
@@ -130,3 +131,94 @@ def test_invalid_command_raises_at_the_same_step(at):
     assert outcomes[0][0] == outcomes[1][0]
     assert first_difference(outcomes[0][1], outcomes[1][1]) is None
     assert len(policy.seen) == at + 1
+
+
+class Handed:
+    """Trot phases; hands out one `action` object at every step, from step
+    `at` on the one that `change(action)` returns (the same object, changed
+    in place, or another); records every observation it is handed."""
+
+    initial_phases = TROT_PHASES
+
+    def __init__(self, action, at=None, change=None):
+        self.action, self.at, self.change, self.seen = action, at, change, []
+
+    def __call__(self, obs):
+        if len(self.seen) == self.at:
+            self.action = self.change(self.action)
+        self.seen.append(obs)
+        return self.action
+
+
+class Fresh(Handed):
+    """A new, equal tuple at every step."""
+
+    def __call__(self, obs):
+        return tuple(list(super().__call__(obs)))
+
+
+class Dial(float):
+    """A float whose float() reads its `value`, which can change."""
+
+    def __float__(self):
+        return self.value
+
+
+def dial(value):
+    d = Dial(value)
+    d.value = value
+    return d
+
+
+def turn(action):
+    action[0].value = 4.0   # the same Dial in all four mu
+    return action
+
+
+def set_mu(action):
+    action[0][()] = 4.0   # the same 0-d array in all four mu
+    return action
+
+
+def set_list(action):
+    action[:4] = [4.0] * 4
+    return action
+
+
+Cmd = collections.namedtuple("Cmd", "m0 m1 m2 m3 w0 w1 w2 w3")
+
+#: Raw actions that `run_rollout` must clamp at every step, for none of them
+#: is a tuple of exact floats, and one that it need not: the same tuple of
+#: floats, swapped at step 5 for an equal one.
+RAW = {
+    "fresh tuple": lambda: Fresh(trot(1.0, 2.5)),
+    "list": lambda: Handed(list(trot(1.0, 2.5))),
+    "list changed in place": lambda: Handed(list(trot(1.0, 2.5)), 5, set_list),
+    "namedtuple": lambda: Handed(Cmd(*trot(1.0, 2.5))),
+    "tuple with an int": lambda: Handed((1, 1, 1, 1) + (2.5,) * 4),
+    "tuple with a numpy float": lambda: Handed((np.float64(1.0),) * 4 + (2.5,) * 4),
+    "tuple with a 0-d array changed in place": lambda: Handed(
+        (np.array(1.0),) * 4 + (2.5,) * 4, 5, set_mu),
+    "tuple with a float subclass that changes": lambda: Handed(
+        (dial(1.0),) * 4 + (2.5,) * 4, 5, turn),
+    "equal tuple swapped in": lambda: Handed(trot(1.0, 2.5), 5, lambda a: tuple(list(a))),
+}
+
+
+@pytest.mark.parametrize("kind", RAW)
+@pytest.mark.parametrize("name", ["A1", "Dog3"])
+def test_raw_actions_of_every_kind(name, kind, monkeypatch):
+    assert_as_env(name, RAW[kind], 81, monkeypatch, True)
+
+
+@pytest.mark.parametrize("at", [0, 5])
+def test_none_raises_at_the_same_step(at):
+    """No raw action skips the clamp before a command is held: None at step
+    0 raises what clamp_command raises, as it does at step 5."""
+    outcomes = []
+    for run in (rollout.run_rollout, env_rollout):
+        policy = Handed(trot(1.0, 2.5), at, lambda a: None)
+        with pytest.raises(TypeError) as raised:
+            run(REG.get("A1"), policy, 0.81)
+        outcomes.append((str(raised.value), len(policy.seen)))
+    assert outcomes[0] == outcomes[1] == (outcomes[0][0], at + 1)
