@@ -11,7 +11,12 @@
 - `evaluate_batch` of the first 1, 3, 4 and 5 of `BATCH_COMMANDS` (the
   float recurrences take up to `batch.FLOAT_LANES` lanes, the array ones
   more) at horizons 1, 81 and 300 on A1, Dog3 and Little Dog: lanes that
-  settle at different substeps, omega 0, and mu at both ends of the box.
+  settle at different substeps, omega 0, and mu at both ends of the box;
+- all built-in robots for 1 s under the raw actions of `SCRIPT`, which
+  change at step 1, so that `run_rollout` runs every step on
+  `QuadrupedEnv.step`: diagonal legs (FR and RL, FL and RR) commanded
+  alike, then an omega of -0.0 on RL alone, then each pair commanded a
+  different mu or omega, then commands that clamp.
 
 A rollout case is the SHA-256 of its CSV and of its manifest, an
 `evaluate_batch` case that of the reprs of its returns.  numpy is loaded
@@ -47,6 +52,21 @@ BATCH_LANES = (1, 3, 4, 5)
 BATCH_HORIZONS = (1, 81, 300)
 
 
+def _trot(mu, omega):
+    return (mu,) * 4 + (omega,) * 4
+
+
+#: One raw action per step of a 1 s rollout (legs FR, FL, RR, RL).
+SCRIPT = ([_trot(1.0, 2.5), _trot(1.5, 3.0)] * 10
+          + [(1.0,) * 4 + (0.0, 0.0, 0.0, -0.0)] * 10   # RL's omega -0.0, FR's 0.0
+          + [_trot(2.0, 3.5)] * 5
+          + [(1.0, 1.0, 1.0, 1.5) + (2.5,) * 4]   # FR and RL apart in mu
+          + [_trot(2.0, 3.5)] * 24
+          + [(2.0,) * 4 + (3.0, 2.5, 3.0, 3.0)]   # FL and RR apart in omega
+          + [_trot(4.0, 5.0)] * 19 + [_trot(9.0, -1.0)] * 20)
+SCRIPT_S = 1.0   # len(SCRIPT) control steps
+
+
 def platform_key():
     import numpy
     return {"python": platform.python_version(), "numpy": numpy.__version__,
@@ -78,6 +98,13 @@ def cases():
             write_record_csv(record, csv_path)
             write_record_manifest(record, manifest_path)
             out[f"{name} mu={mu} omega={omega} {duration} s"] = {
+                "csv": _sha256(csv_path), "manifest": _sha256(manifest_path)}
+        for robot in registry:
+            actions = iter(SCRIPT)
+            record = run_rollout(robot, lambda obs: next(actions), SCRIPT_S)
+            write_record_csv(record, csv_path)
+            write_record_manifest(record, manifest_path)
+            out[f"{robot.name} scripted {SCRIPT_S} s"] = {
                 "csv": _sha256(csv_path), "manifest": _sha256(manifest_path)}
     for name in BATCH_ROBOTS:
         for lanes in BATCH_LANES:
