@@ -53,10 +53,9 @@ z_leg, and the sagittal chain (the reach clamp or knee quadratic, the knee,
 the hip) is the same IEEE operations on the same inputs.  Twins start from
 the same standing joints and are driven to the same desired joints, so the
 joint lag keeps their sagittal joints equal, and the FK's planar sums are
-equal too.  `_Legs` takes the twin classes from `environment.twin_legs`,
-which owns the twin key and serves `QuadrupedEnv` too, once per robot and
-runs those stages on one leg of each class; the abduction, the FK's
-abduction rotation and the hip offsets run on every leg.  A mixed robot,
+equal too.  `_Legs` takes the twin classes from `twin_legs` once per
+robot and runs those stages on one leg of each class; the abduction, the
+FK's abduction rotation and the hip offsets run on every leg.  A mixed robot,
 whose rear knees bend the other way, has four classes and solves every leg.
 As in the scalar solver, the abduction's wrap skips angles below
 `kinematics.TINY_ANGLE`, its own wrap there: a trot's are 0 up to rounding.
@@ -71,7 +70,7 @@ from typing import Iterable, List, Tuple
 import numpy as np
 
 from .environment import (CONTACT_TOL, CONTROL_DT, N_SUBSTEPS, W_FORWARD, W_ORIENTATION,
-                          W_POWER, QuadrupedEnv, check_horizon, twin_legs)
+                          W_POWER, QuadrupedEnv, check_horizon)
 from .kinematics import _CLAMP_TOL, FOOT_COUPLING_RATIO, TINY_ANGLE
 from .oscillator import (DT_INTEGRATION, TROT_PHASES, TWO_PI, advance, amplitude_settled,
                          clamp_command)
@@ -105,6 +104,15 @@ def _wrap(angle: np.ndarray) -> np.ndarray:
     return _math(math.atan2, np.sin(angle), np.cos(angle))
 
 
+def twin_legs(legs) -> List[int]:
+    """Each leg's twin source in a trot: the first leg with its start phase
+    (`TROT_PHASES`), |abd_offset|, link lengths and knee branch, itself if no
+    earlier leg has them (module docstring)."""
+    keys = [(phase, abs(leg.abd_offset), leg.link_lengths, leg.knee_config)
+            for phase, leg in zip(TROT_PHASES, legs)]
+    return [keys.index(key) for key in keys]
+
+
 class _Legs:
     """The four legs' geometry and IK constants (`LegGeometry.ik_constants`):
     the abduction's over all four legs, the sagittal chain's over the legs in
@@ -113,7 +121,7 @@ class _Legs:
     def __init__(self, robot: RobotDescriptor):
         legs = robot.legs
         self.dof = legs[0].dof
-        source = twin_legs(legs, TROT_PHASES)
+        source = twin_legs(legs)
         solved = list(dict.fromkeys(source))   # one leg of each class, in order
         self.solved = np.array(solved)
         self.twin = np.array([solved.index(leg) for leg in source])

@@ -44,7 +44,12 @@ def open_loop_trot(mu: float, omega: float) -> ConstantCommandPolicy:
 
 def evaluate_constant_command(robot: RobotDescriptor, mu: float, omega: float,
                               horizon: int) -> float:
-    """Episodic return of a constant command over `horizon` (>= 1) control steps."""
+    """Episodic return of a constant command over `horizon` (>= 1) control steps.
+
+    The plain `QuadrupedEnv.step` loop, on purpose: it is the reference that
+    `batch.evaluate_batch` is checked against (tests/test_batch.py,
+    tests/test_reduction_order.py, tests/interpreter_probe.py), so it does
+    not run through the kernel."""
     check_horizon(horizon)
     env = QuadrupedEnv(robot)
     env.reset(initial_phases=TROT_PHASES)

@@ -19,21 +19,6 @@ state flows back into oscillator -> pattern formation -> IK) and a leg's
 joints and FK read no other leg, so every value is computed from the same
 inputs by the same operations, only at a different time.
 
-Twin legs solve once.  `twin_legs` pairs a leg with an earlier one of the
-same start phase, |abd_offset|, link lengths and knee branch: a trot's
-diagonal legs on a robot whose knees bend alike.  `reset` records the
-pairs; a pair stays in lockstep until a step commands its legs a different
-clamped mu or omega, then solves on its own until the next reset.  In
-lockstep both legs have had equal inputs at every step since reset, so by
-induction the same IEEE operations gave them the same r, r_dot, theta and
-x, z targets, and y = +-abd_offset with (-d)*(-d) == d*d the same rr,
-abduction clamp flag and pitch joints.  So the twin takes its source's
-oscillator, pattern formation and pitch joints and solves its own
-abduction; its oscillator state keeps its own theta_dot (an omega of -0.0
-is == to 0.0 but shows in the observation).  Only `reset` writes the CPG
-state between steps.  The backend knows no twins: it runs every leg's joint
-lag and FK on its own, so a write to its joint state between steps holds.
-
 The observation is a fixed 49-vector for every robot, regardless of DoF
 count and morphology:
 
@@ -58,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, NamedTuple, Sequence, Tuple
+from typing import Iterable, NamedTuple, Sequence, Tuple
 
 from .foot_trajectory import FootTarget, foot_target, foot_xz
 from .kinematics import _foot_in_hip, _solve, fk_all_feet
@@ -99,16 +84,6 @@ def sum_in_order(terms: Iterable):
     for term in terms:
         total = total + term
     return total
-
-
-def twin_legs(legs, phases: Sequence[float]) -> List[int]:
-    """Each leg's twin source: the first leg with its start phase,
-    |abd_offset|, link lengths and knee branch, itself if no earlier leg has
-    them.  Driven by equal commands, twins solve their sagittal chain alike
-    (module docstring); `batch._Legs` and `QuadrupedEnv.reset` both ask here."""
-    keys = [(phase, abs(leg.abd_offset), leg.link_lengths, leg.knee_config)
-            for phase, leg in zip(phases, legs)]
-    return [keys.index(key) for key in keys]
 
 
 def check_horizon(horizon: int) -> None:
@@ -340,8 +315,6 @@ class QuadrupedEnv:
         """
         robot = self.robot
         self._cpg = init_cpg(initial_phases)
-        # the twin pairs, in lockstep until their commands part them
-        self._twin = twin_legs(robot.legs, [s.theta for s in self._cpg])
         standing = (_solve(leg, *foot_target(_AT_REST, robot.pf, leg.abd_offset))
                     for leg in robot.legs)
         self.backend.reset([q for q, _ in standing])
@@ -361,50 +334,26 @@ class QuadrupedEnv:
             raise RuntimeError("environment must be reset before stepping")
         cmd = clamp_command(action)
         mu, omega = cmd.mu, cmd.omega
-        twin = self._twin
 
-        # Leg-major, exact because the chain takes no feedback; a twin
-        # takes its source's chain (module docstring).
+        # Leg-major, exact because the chain takes no feedback (module docstring).
         backend = self.backend
         cpg = self._cpg
         pf = self.robot.pf
         q_des = [None] * 4   # per leg, its desired joints at each substep
         targets = [None] * 4
-        zs = [None] * 4   # per leg a twin reads, its target's z at each substep
-        clamps = [0] * 4   # per leg, its IK clamp flags
         workspace_violations = 0
         for i, leg in enumerate(self.robot.legs):
             y = leg.abd_offset
-            s = twin[i]
-            if s != i:
-                if mu[i] == mu[s] and omega[i] == omega[s]:
-                    # leg s's oscillator, (x, z) and pitch joints; its own abduction
-                    q_des[i] = [_solve(leg, None, y, z, q)[0]
-                                for q, z in zip(q_des[s], zs[s])]
-                    r, r_dot, theta, _ = cpg[s]
-                    # its own theta_dot: an omega of -0.0 passes == against 0.0
-                    cpg[i] = OscillatorState(r, r_dot, theta, TWO_PI * omega[i])
-                    x, _, z = targets[s]
-                    targets[i] = FootTarget(x, y, z)
-                    workspace_violations += clamps[s]   # equal rr, equal flags
-                    continue
-                twin[i] = i   # out of lockstep until the next reset
-            leg_zs = zs[i] = [] if i in twin[i + 1:] else None
             mu_i, theta_dot = mu[i], TWO_PI * omega[i]
             r, r_dot, theta, _ = cpg[i]
-            n = 0
             row = q_des[i] = []
             for _ in range(N_SUBSTEPS):
                 r, r_dot, theta = advance(r, r_dot, mu_i, theta_dot, theta)
                 x, z = foot_xz(r, theta, pf)
                 q, clamped = _solve(leg, x, y, z)
                 if clamped:
-                    n += 1
+                    workspace_violations += 1
                 row.append(q)
-                if leg_zs is not None:
-                    leg_zs.append(z)
-            clamps[i] = n
-            workspace_violations += n
             cpg[i] = OscillatorState(r, r_dot, theta, theta_dot)
             targets[i] = FootTarget(x, y, z)
 

@@ -33,12 +33,11 @@ of links, in the layout of the batch kernel's ``batch._Legs.ik``.  It clamps
 an unreachable target to the workspace boundary and flags it.  Only
 ``ik_leg`` raises, OutOfWorkspaceError carrying the clamped joint vector;
 the environment calls ``_solve`` and counts the flags in
-``info["workspace_violations"]``.  A twin leg (``environment.twin_legs``)
-stops ``_solve`` after its abduction and takes its source's pitch joints.
-``_solve`` and ``_foot_in_hip``, the one FK body, skip the cos, sin and
-atan2 of an abduction angle below ``TINY_ANGLE``, where their results are
-known bit for bit; pattern formation sets y = abd_offset, so a foot
-target's abduction is 0 up to rounding.
+``info["workspace_violations"]``.  ``_solve`` and ``_foot_in_hip``, the
+one FK body, skip the cos, sin and atan2 of an abduction angle below
+``TINY_ANGLE``, where their results are known bit for bit; pattern
+formation sets y = abd_offset, so a foot target's abduction is 0 up to
+rounding.
 """
 
 from __future__ import annotations
@@ -176,12 +175,8 @@ def fk_leg(geom: LegGeometry, q: Sequence[float]) -> FootTarget:
     return FootTarget(*_foot_in_hip(geom.link_lengths, geom.abd_offset, q))
 
 
-def _solve(geom: LegGeometry, x: float, y: float, z: float, pitch=None):
-    """Closed-form solution of a 3- or 4-DoF leg; returns (q, clamped).
-
-    A twin leg passes its source's joint tuple as `pitch`: it solves its own
-    abduction, takes the source's pitch joints and gets the abduction's clamp
-    flag; x is not read."""
+def _solve(geom: LegGeometry, x: float, y: float, z: float):
+    """Closed-form solution of a 3- or 4-DoF leg; returns (q, clamped)."""
     # abduction: the leg plane through (y, z), clamped to the abduction circle
     d, dd = geom.abd_offset, geom.dd
     rr = y * y + z * z
@@ -198,8 +193,6 @@ def _solve(geom: LegGeometry, x: float, y: float, z: float, pitch=None):
     # wrap to (-pi, pi] for a continuous solution around zero
     if not abs(q_abd) < TINY_ANGLE:
         q_abd = math.atan2(math.sin(q_abd), math.cos(q_abd))
-    if pitch is not None:
-        return (q_abd,) + pitch[1:], clamped
     z_leg = -math.sqrt(rr - dd)
 
     links = geom.link_lengths

@@ -3,11 +3,12 @@ fast paths are checked on.
 
 `env_rollout` is `run_rollout` as the plain `QuadrupedEnv.step` loop it
 once was: the oracle of its held-command pass.  `substep_loop_step` is
-`QuadrupedEnv.step` as the per-substep loop it once was: every substep steps all four oscillators, solves all four IKs and
-advances the backend by `substep_advance`, which runs every leg's joint lag
-and FK.  No leg takes another's result, so it is the oracle both of the
-env's twin path and of the batch kernel's.  `drawn_robots` draws robots
-whose four legs are twins, near-twins one float step apart, or unrelated.
+`QuadrupedEnv.step` as the per-substep loop it once was: every substep
+steps all four oscillators, solves all four IKs and advances the backend by
+`substep_advance`, which runs every leg's joint lag and FK.  No leg takes
+another's result, so it is the oracle of the env's leg-major step and of
+the batch kernel's twin legs.  `drawn_robots` draws robots whose four legs
+are twins, near-twins one float step apart, or unrelated.
 """
 
 import dataclasses

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import backend_state, drawn_robots, substep_advance, substep_loop_step
-from quadcpg import environment
+from quadcpg import batch, environment
 from quadcpg.environment import (ACTION_SIZE, N_SUBSTEPS, OBSERVATION_SIZE,
                                  NonFiniteStateError, QuadrupedEnv, build_observation,
                                  compute_reward)
@@ -20,6 +20,11 @@ REG = builtin_registry()
 A1 = REG.get("A1")
 
 TROT_ACTION = (1.0,) * 4 + (2.5,) * 4
+
+#: Action entries drawn often: the infinities, NaN, the largest and smallest
+#: magnitudes (subnormals among them) and both zeros.
+EDGE_FLOATS = [math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324, -5e-324,
+               2.0 ** -1030, 0.0, -0.0]
 
 
 @st.composite
@@ -250,6 +255,30 @@ class TestStepEqualsSubstepLoop:
         if name == "A1":
             assert clamped > 0   # strides at mu near 4 leave A1's workspace
 
+    @settings(max_examples=150, deadline=None)
+    @given(robot=st.sampled_from(list(REG)),
+           actions=st.lists(st.tuples(*[st.floats() | st.sampled_from(EDGE_FLOATS)] * 8),
+                            min_size=1, max_size=3))
+    def test_any_action_raises_or_equals_substep_loop(self, robot, actions):
+        # a step raises exactly when an entry is not finite, and then leaves
+        # the env as it was; any other step is finite and the oracle's
+        env, ref = QuadrupedEnv(robot), QuadrupedEnv(robot)
+        env.reset()
+        ref.reset()
+        for action in actions:
+            if not all(map(math.isfinite, action)):
+                with pytest.raises(InvalidCommandError):
+                    env.step(action)
+                continue
+            got = env.step(action)
+            want, _ = substep_loop_step(ref, action)
+            assert repr(got) == repr(want)
+            obs, reward, _, _ = got
+            assert math.isfinite(reward)
+            assert all(math.isfinite(v) for part in vars(obs).values() for v in part)
+        assert backend_state(env.backend) == backend_state(ref.backend)
+        assert repr(env.cpg_states) == repr(ref.cpg_states)
+
     def test_reset_stands_on_the_pattern_formation_set_point(self):
         for robot in REG:
             env = QuadrupedEnv(robot)
@@ -290,10 +319,10 @@ def run_both(robot, phases, actions):
         assert backend_state(env.backend) == backend_state(ref.backend), k
 
 
-#: The twin path's episodes: equal commands, a pair commanded apart for one
-#: step (RL, FR's twin), an omega of -0.0 on one leg of a pair (clamping
-#: keeps it: max(-0.0, 0.0) is -0.0) and a pronk, one class of four legs
-#: where the knees bend alike.
+#: Episodes of the batch kernel's twin legs (`batch.twin_legs`): equal
+#: commands, a pair commanded apart for one step (RL, FR's twin), an omega of
+#: -0.0 on one leg of a pair (clamping keeps it: max(-0.0, 0.0) is -0.0) and a
+#: pronk, one class of four legs where the knees bend alike.
 TWIN_EPISODES = {
     "clamping trot": (TROT_PHASES, [(4.0,) * 4 + (5.0,) * 4] * 30),
     "one step apart": (TROT_PHASES, [TROT_ACTION] * 5 + [(1.0, 1.0, 1.0, 1.5) + (2.5,) * 4]
@@ -306,42 +335,20 @@ TWIN_EPISODES = {
 
 
 class TestTwinLegs:
-    """Twin legs share their chain in env.step: the oracle's outputs, bit for bit."""
+    """env.step on the kernel's twin legs, commanded alike and apart: the
+    oracle's outputs, bit for bit."""
 
     @pytest.mark.parametrize("episode", TWIN_EPISODES)
     @pytest.mark.parametrize("name", REG.names())
     def test_equals_substep_loop(self, name, episode):
         run_both(REG.get(name), *TWIN_EPISODES[episode])
 
-    @pytest.mark.parametrize("name, solved", [("A1", 20), ("Dog3", 20), ("Little Dog", 40)])
-    def test_pitch_joints_solved_per_step(self, monkeypatch, name, solved):
-        calls = []   # per _solve call, whether it solved the pitch joints too
-        solve = environment._solve
-
-        def counted(geom, x, y, z, pitch=None):
-            calls.append(pitch is None)
-            return solve(geom, x, y, z, pitch)
-
-        monkeypatch.setattr(environment, "_solve", counted)
-        env = QuadrupedEnv(REG.get(name))
-        env.reset()
-        per_step = []
-        for action in [TROT_ACTION] * 2 + [(1.0, 1.0, 1.0, 1.5) + (2.5,) * 4, TROT_ACTION]:
-            calls.clear()
-            env.step(action)
-            per_step.append((sum(calls), len(calls)))
-        # a trot solves one leg of each twin pair, the twin only its abduction;
-        # RL, commanded apart from FR for one step, solves on its own until
-        # the next reset
-        apart = min(solved + N_SUBSTEPS, 4 * N_SUBSTEPS)
-        assert per_step == [(solved, 4 * N_SUBSTEPS)] * 2 + [(apart, 4 * N_SUBSTEPS)] * 2
-
     @pytest.mark.parametrize("name", ["A1", "Dog3"])
     def test_joint_writes_between_steps_hold(self, name):
-        # the backend knows no twins: a write to a twin's pitch joint and
-        # its velocity moves that leg alone, as in the oracle
+        # a write to a twin's pitch joint and its velocity moves that leg
+        # alone, as in the oracle
         robot = REG.get(name)
-        assert environment.twin_legs(robot.legs, TROT_PHASES)[3] == 0   # RL is FR's twin
+        assert batch.twin_legs(robot.legs)[3] == 0   # RL is FR's twin
         env, ref = QuadrupedEnv(robot), QuadrupedEnv(robot)
         env.reset()
         ref.reset()

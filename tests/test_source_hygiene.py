@@ -205,12 +205,12 @@ def test_each_fact_has_one_owner():
     # the IK's per-leg constants: computed once per LegGeometry, read elsewhere
     for expr in IK_CONSTANTS:
         assert computations_in_src(expr) == [("kinematics.py", "__post_init__")], expr
-    # the IK's abduction: one scalar solver for both leg types, twin legs and
-    # any target, and the kernel's over pattern-formation targets (y = d)
+    # the IK's abduction: one scalar solver for both leg types and any
+    # target, and the kernel's over pattern-formation targets (y = d)
     assert computations_in_src("y * y + z * z") == [("kinematics.py", "_solve")]
     assert computations_in_src("self.dd + z * z") == [("batch.py", "ik")]
-    # the twin key, which the env and the kernel both ask
-    assert readers_in_src("knee_config") == [("environment.py", "twin_legs"),
+    # the twin key, which the kernel asks
+    assert readers_in_src("knee_config") == [("batch.py", "twin_legs"),
                                              ("kinematics.py", "__post_init__")]
     # a foot's lateral offset is its leg's abd_offset; y_nominal is only the
     # registry file's name for it, and no per-leg copy of a record is made
