@@ -80,7 +80,7 @@ from .rollout import _bits
 #: (lane, substep) pairs per tile: a tile holds as many lanes and whole
 #: control steps as fit, at least one of each, so its arrays, not the number
 #: of commands or the horizon, bound the kernel's memory.
-TILE_LANE_SUBSTEPS = 800
+TILE_LANE_SUBSTEPS = 1600
 
 #: Chunks of at most this many lanes run the two recurrences on floats,
 #: lane by lane and joint by joint; wider ones on (lane, ...) arrays.
@@ -88,8 +88,10 @@ FLOAT_LANES = 4
 
 
 def _math(fn, *arrays: np.ndarray) -> np.ndarray:
-    """fn applied element by element through `math` to same-shape arrays."""
-    flat = map(fn, *(a.ravel().tolist() for a in arrays))
+    """fn applied element by element through `math` to same-shape float64
+    arrays, each read as a 1-D memoryview of its raveled buffer: the same
+    doubles as `tolist()` gives, with no list built."""
+    flat = map(fn, *(memoryview(a.ravel()) for a in arrays))
     return np.fromiter(flat, float, arrays[0].size).reshape(arrays[0].shape)
 
 
@@ -371,33 +373,35 @@ def _episodes(env: QuadrupedEnv, legs: _Legs, commands, horizon: int, streams=Fa
             for k in range(t):
                 r, r_dot, theta = advance(r, r_dot, mu, theta_dot, theta)
                 rs[k], rds[k], thetas[k] = r, r_dot, theta
-        r, r_dot, theta = rs[-1], rds[-1], thetas[-1]
+        # what crosses into the next tile is a copy: a view would keep this
+        # tile's whole array alive through the next one
+        r, r_dot, theta = rs[-1].copy(), rds[-1].copy(), thetas[-1].copy()
         tx, tz = foot_targets(robot, rs, thetas)
         des, clamped = legs.ik(tx, tz)
         if n <= FLOAT_LANES:
             qs = _lag(legs, q, des, lag)
-            e = des - np.concatenate((q[None], qs[:-1]))
         else:
-            e, qs = np.empty_like(des), np.empty_like(des)
+            qs = np.empty_like(des)
             for k in range(t):
-                e[k] = des[k] - q
-                q = qs[k] = q + e[k] * lag
-        q = qs[-1]
+                q = qs[k] = q + (des[k] - q) * lag
+        # the power term reads each step's last torques and joint velocities,
+        # so the error des - q is formed at its last two substeps only, from
+        # the positions before them (N_SUBSTEPS >= 3)
+        e_end = des[N_SUBSTEPS - 1::N_SUBSTEPS] - qs[N_SUBSTEPS - 2::N_SUBSTEPS]
+        e_pre = des[N_SUBSTEPS - 2::N_SUBSTEPS] - qs[N_SUBSTEPS - 3::N_SUBSTEPS]
+        q = qs[-1].copy()
 
         fx, fz = legs.feet_xz(qs)
         contact = bz + fz <= CONTACT_TOL
         vxs, xs = _sweep(fx, fx_prev, contact, vx, bx)
-        fx_prev, vx, bx = fx[-1], vxs[-1], xs[-1]
+        fx_prev, vx, bx = fx[-1].copy(), vxs[-1].copy(), xs[-1].copy()
 
         forward = W_FORWARD * np.minimum(xs[N_SUBSTEPS::N_SUBSTEPS] - xs[:-1:N_SUBSTEPS],
                                          env.d_max)
-        # the power term reads each step's last torques and joint velocities
-        qds = e * lag / dt
-        ends = slice(N_SUBSTEPS - 1, None, N_SUBSTEPS)
-        trq = robot.kp * e[ends] - robot.kd * qds[N_SUBSTEPS - 2::N_SUBSTEPS]
-        qd_end = qds[ends]
+        trq = robot.kp * e_end - robot.kd * (e_pre * lag / dt)
+        qd_end = e_end * lag / dt
         qd_prev = np.concatenate((qd[None], qd_end[:-1]))
-        qd = qd_end[-1]
+        qd = qd_end[-1].copy()
         work = (trq * (qd_end - qd_prev)).reshape(n_steps, n, -1)   # leg-major
         power = W_POWER * np.abs(_sum(0.0, np.moveaxis(work, -1, 0)))
         reward = forward + orientation + power
@@ -405,7 +409,7 @@ def _episodes(env: QuadrupedEnv, legs: _Legs, commands, horizon: int, streams=Fa
         if streams:
             fy = legs.feet_y(qs)
             vys, ys = _sweep(fy, fy_prev, contact, vy, by)
-            fy_prev, vy, by = fy[-1], vys[-1], ys[-1]
+            fy_prev, vy, by = fy[-1].copy(), vys[-1].copy(), ys[-1].copy()
             at = np.arange(N_SUBSTEPS - 1, t, N_SUBSTEPS)   # step ends: copies, not views
             tiles.append({"x": xs[at + 1], "y": ys[at + 1], "vx": vxs[at], "vy": vys[at],
                           "contact": contact[at],
@@ -416,6 +420,10 @@ def _episodes(env: QuadrupedEnv, legs: _Legs, commands, horizon: int, streams=Fa
                           "power": power, "total": reward,
                           "clamps": np.count_nonzero(
                               clamped.reshape(n_steps, N_SUBSTEPS, n, 4), axis=(1, 3))})
+            del fy, vys, ys
+        # this tile's arrays die here, before the next tile's IK
+        del (rs, rds, thetas, tx, tz, des, clamped, qs, fx, fz, contact, vxs, xs,
+             e_end, e_pre, trq, qd_end, qd_prev, work)
     if not streams:
         return total.tolist(), None
     out = {name: np.concatenate([tile[name] for tile in tiles]) for name in tiles[0]}

@@ -94,7 +94,7 @@ class RolloutRecord:
 
 #: The longest duration a run accepts, in s: 100,000 control periods.  A
 #: rollout row (A1, x86-64, Python 3.11) takes ~165 us on the scalar env and
-#: ~50 us through the held-command pass, peaks near 2 KB of memory and writes
+#: ~46 us through the held-command pass, peaks near 2 KB of memory and writes
 #: ~560 B of CSV, so the longest rollout takes under 20 s, peaks near 0.2 GB
 #: and writes ~56 MB.
 MAX_DURATION = 1000.0

@@ -1,4 +1,5 @@
-"""Fingerprints of the rollout outputs: every robot's CSV and manifest bytes.
+"""Fingerprints of the outputs: every robot's rollout CSV and manifest bytes,
+`evaluate_batch` returns and search JSON.
 
 `cases()` runs the cases that `tests/test_behaviour.py` pins:
 
@@ -12,6 +13,12 @@
   float recurrences take up to `batch.FLOAT_LANES` lanes, the array ones
   more) at horizons 1, 81 and 300 on A1, Dog3 and Little Dog: lanes that
   settle at different substeps, omega 0, and mu at both ends of the box;
+- `evaluate_batch` of the 170 `WIDE_COMMANDS` on A1 at horizon 20: full
+  lane chunks of one step per tile at a `batch.TILE_LANE_SUBSTEPS` of 800
+  (80 lanes) and of 1,600 (160 lanes), then 10 lanes whose tiles of 8 or
+  16 steps end inside the horizon;
+- `search_constant_command` of A1, Dog3 and Little Dog at budget 40,
+  horizon 60, seed 0, as the `search` subcommand writes it;
 - all built-in robots for 1 s under the raw actions of `SCRIPT`, which
   change at step 1, so that `run_rollout` runs every step on
   `QuadrupedEnv.step`: diagonal legs (FR and RL, FL and RR) commanded
@@ -19,8 +26,9 @@
   different mu or omega, then commands that clamp.
 
 A rollout case is the SHA-256 of its CSV and of its manifest, an
-`evaluate_batch` case that of the reprs of its returns.  numpy is loaded
-first, as in any process that has imported it.
+`evaluate_batch` case that of the reprs of its returns, a search case that
+of its JSON file.  numpy is loaded first, as in any process that has
+imported it.
 
 The bits depend on the platform's libm, so `goldens/behaviour.json` holds
 one entry per (Python, numpy, libc) triple.  To add or refresh the entry of
@@ -50,6 +58,10 @@ BATCH_ROBOTS = ("A1", "Dog3", "Little Dog")
 BATCH_COMMANDS = ((1.0, 2.5), (0.5, 0.0), (4.0, 5.0), (2.7, 1.3), (3.3, 0.7))
 BATCH_LANES = (1, 3, 4, 5)
 BATCH_HORIZONS = (1, 81, 300)
+WIDE_COMMANDS = tuple((0.5 + 0.02 * i, 0.05 * (i % 97)) for i in range(170))
+WIDE_HORIZON = 20
+SEARCH_ROBOTS = ("A1", "Dog3", "Little Dog")
+SEARCH_BUDGET, SEARCH_HORIZON = 40, 60
 
 
 def _trot(mu, omega):
@@ -79,11 +91,12 @@ def _sha256(path):
 
 
 def cases():
-    """{case name: {"csv": sha256, "manifest": sha256}} of every rollout case
-    and {case name: {"returns": sha256}} of every `evaluate_batch` case."""
+    """{case name: {"csv": sha256, "manifest": sha256}} of every rollout case,
+    {case name: {"returns": sha256}} of every `evaluate_batch` case and
+    {case name: {"json": sha256}} of every search case."""
     import numpy   # noqa: F401 - loaded, as in any process that imported it
     from quadcpg.batch import evaluate_batch
-    from quadcpg.controllers import open_loop_trot
+    from quadcpg.controllers import open_loop_trot, search_constant_command
     from quadcpg.registry import builtin_registry
     from quadcpg.rollout import run_rollout, write_record_csv, write_record_manifest
 
@@ -113,6 +126,16 @@ def cases():
                 blob = repr(returns).encode()
                 out[f"evaluate_batch {name} lanes={lanes} horizon={horizon}"] = {
                     "returns": hashlib.sha256(blob).hexdigest()}
+    returns = evaluate_batch(registry.get("A1"), WIDE_COMMANDS, WIDE_HORIZON)
+    out[f"evaluate_batch A1 lanes={len(WIDE_COMMANDS)} horizon={WIDE_HORIZON}"] = {
+        "returns": hashlib.sha256(repr(returns).encode()).hexdigest()}
+    with tempfile.TemporaryDirectory() as tmp:
+        json_path = os.path.join(tmp, "s.json")
+        for name in SEARCH_ROBOTS:
+            search_constant_command(registry.get(name), SEARCH_BUDGET, seed=0,
+                                    horizon=SEARCH_HORIZON).to_json(json_path)
+            out[f"search {name} budget={SEARCH_BUDGET} horizon={SEARCH_HORIZON} seed=0"] = {
+                "json": _sha256(json_path)}
     return out
 
 

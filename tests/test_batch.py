@@ -174,13 +174,28 @@ def peak_bytes(robot, commands, horizon):
 
 def test_memory_does_not_grow_with_the_budget():
     # one tile's arrays set the peak; only the returns grow with the budget
-    # (measured on Dog3 at horizon 2: 1,417 KB for 2,000 commands, 1,258 KB for 200)
+    # (measured on Dog3 at horizon 2: 1,245 KB for 2,000 commands, 1,168 KB for 200)
     robot = REG.get("Dog3")
     rng = random.Random(0)
     commands = [(rng.uniform(MU_MIN, MU_MAX), rng.uniform(OMEGA_MIN_HZ, OMEGA_MAX_HZ))
                 for _ in range(2000)]
     evaluate_batch(robot, commands[:3], 2)   # first-call allocations stay out of the peaks
     assert peak_bytes(robot, commands, 2) <= 1.25 * peak_bytes(robot, commands[:200], 2)
+
+
+def test_a_tile_frees_its_arrays_before_the_next():
+    # what crosses a tile boundary is copied, so no view keeps a finished
+    # tile's arrays alive through the next tile: an episode of four tiles
+    # peaks about as high as one of one tile (Dog3 at 40 lanes: 1,120 KB
+    # against 1,104 KB; 1,318 KB when the joint positions carry as a view)
+    robot = REG.get("Dog3")
+    rng = random.Random(0)
+    commands = [(rng.uniform(MU_MIN, MU_MAX), rng.uniform(OMEGA_MIN_HZ, OMEGA_MAX_HZ))
+                for _ in range(40)]
+    per_tile = batch.TILE_LANE_SUBSTEPS // (len(commands) * N_SUBSTEPS)   # steps
+    evaluate_batch(robot, commands[:3], 2)   # first-call allocations stay out of the peaks
+    one = peak_bytes(robot, commands, per_tile)
+    assert peak_bytes(robot, commands, 4 * per_tile) <= 1.15 * one
 
 
 #: The built-ins whose rear knees bend the other way (elbow_down).
@@ -234,6 +249,48 @@ def math_calls(robot):
     with mock.patch.object(batch, "_math", counting):
         batch._Legs(robot).ik(*targets)
     return calls
+
+
+#: Doubles where libm is most often inexact or special: signed zeros and
+#: infinities, NaN, subnormals, the smallest normal, and +-1 and 1 ulp each side.
+SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.0 ** -1030,
+           -(2.0 ** -1022), 1.0, -1.0, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0),
+           math.nextafter(-1.0, -2.0), math.nextafter(-1.0, 0.0), 0.5, -0.7, 3.0, -1e300]
+
+#: How `_Legs.ik` hands arrays to `_math`: as built, strided, fancy-indexed,
+#: empty, and the abduction's y, its d broadcast to the targets' shape.
+LAYOUTS = {
+    "contiguous": lambda a, b: (a, b),
+    "strided": lambda a, b: (a[:, ::2].T, b[:, ::2].T),
+    "fancy": lambda a, b: (a[[5, 0, 5, 2]], b[[1, 3, 0, 0]]),
+    "empty": lambda a, b: (a[:0], b[:0]),
+    "broadcast": lambda a, b: (a, np.broadcast_to(b[0], a.shape)),
+}
+
+
+def element_by_element(fn, *arrays):
+    values = [fn(*args) for args in zip(*(a.ravel().tolist() for a in arrays))]
+    return np.array(values, dtype=float).reshape(arrays[0].shape)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("fn", [math.atan2, math.hypot, math.acos], ids=lambda fn: fn.__name__)
+def test_math_equals_math_element_by_element(fn, layout):
+    """`_math` gives `math`'s bits, element for element, whatever the layout."""
+    values = [v for v in SPECIAL if fn is not math.acos or not abs(v) > 1.0]
+    pairs = np.array([(a, b) for a in values for b in values]).reshape(len(values), -1, 2)
+    a, b = LAYOUTS[layout](pairs[..., 0], pairs[..., 1])
+    args = (b,) if fn is math.acos else (a, b)
+    got, want = batch._math(fn, *args), element_by_element(fn, *args)
+    assert got.shape == want.shape == args[0].shape and got.dtype == np.float64
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_math_raises_where_math_does():
+    for x in SPECIAL:
+        if abs(x) > 1.0:   # acos is defined on [-1, 1] only
+            with pytest.raises(ValueError, match="math domain error"):
+                batch._math(math.acos, np.array([0.5, x]))
 
 
 #: The sagittal chain's `_math` calls: the 3-DoF reach and knee, the 4-DoF

@@ -1,10 +1,12 @@
-"""The committed fingerprints of every robot's rollout and of
-`evaluate_batch`: `behaviour.py` says what the cases are and how an entry is
-made.  numpy is loaded, so `run_rollout` takes its held-command pass but in
-the scripted cases, which run on the scalar env; the rollout goldens came
-from the scalar env, and the `evaluate_batch` ones from a kernel that
-integrated every amplitude and joint, whose returns were checked equal to
-`evaluate_constant_command`'s."""
+"""The committed fingerprints of every robot's rollout, of `evaluate_batch`
+and of three searches: `behaviour.py` says what the cases are and how an
+entry is made.  numpy is loaded, so `run_rollout` takes its held-command
+pass but in the scripted cases, which run on the scalar env; the rollout
+goldens came from the scalar env, and the `evaluate_batch` ones from a
+kernel that integrated every amplitude and joint, whose returns were
+checked equal to `evaluate_constant_command`'s.  The search cases and the
+170-command case came from the kernel of 800 lane-substeps a tile, before
+its tiles were resized."""
 
 import pytest
 
